@@ -395,7 +395,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    """Cross-check closed-form costs and thresholds against value iteration."""
+    """Cross-check closed-form costs and thresholds against policy iteration."""
     cfg = load_config(args.config)
     worst = 0.0
     checked = 0
@@ -507,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("spectral", _cmd_spectral, "spectral certificate of the linear region")
 
     add("oracle-check", _cmd_oracle_check,
-        "closed forms vs value-iteration ground truth")
+        "closed forms vs policy-iteration ground truth")
 
     p = add("experiment", _cmd_experiment, "sweep n and policies, write CSVs")
     p.add_argument("--n-sweep", required=True, help="comma-separated n values")

@@ -21,8 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateThresholdError, ShapeError
-from .index import TIE_TOL, whittle_index_table
+from .errors import (
+    ConvergenceError,
+    DegenerateThresholdError,
+    RangeError,
+    ShapeError,
+)
+from .index import TIE_TOL, service_order, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution
 
@@ -68,47 +73,27 @@ def _as_array(z) -> np.ndarray:
     return np.array(z, dtype=float)
 
 
-@lru_cache(maxsize=32)
-def _descending_groups(cfg: NetworkConfig) -> tuple:
-    """Flat cell indices grouped by equal index value, best first."""
-    table = whittle_index_table(cfg.p_vector(), cfg.l).ravel()
-    order = np.argsort(-table, kind="stable")
-    groups = []
-    current = [order[0]]
-    for c in order[1:]:
-        if table[current[-1]] - table[c] <= TIE_TOL:
-            current.append(c)
-        else:
-            groups.append(np.array(current, dtype=np.intp))
-            current = [c]
-    groups.append(np.array(current, dtype=np.intp))
-    return tuple(groups)
-
-
-def fluid_step(z, cfg: NetworkConfig, sol: RelaxedSolution | None = None):
+def fluid_step(z, cfg: NetworkConfig) -> OccupancyVector:
     """One slot of the fluid dynamics; total on the occupancy simplex.
 
-    The sol argument is accepted for call-site symmetry with the linear
-    region helpers; the update itself only needs the configuration.
+    The tie groups of index.service_order are served best first: each
+    group gets the smaller of its mass and the budget the groups before
+    it left, shared by its cells in proportion to their mass. Served
+    mass then resets to age 1 with its class's success probability and
+    everything else ages, truncated at l.
     """
-    del sol
     zmat = _as_array(z)
     if zmat.shape != (cfg.k, cfg.l):
         raise ShapeError(f"occupancy shape {zmat.shape} != {(cfg.k, cfg.l)}")
+    order, group = service_order(tuple(cfg.p_vector()), cfg.l)
     flat = zmat.ravel()
-    frac = np.zeros_like(flat)
-    residual = cfg.alpha
-    for cells in _descending_groups(cfg):
-        if residual <= 0.0:
-            break
-        mass = flat[cells].sum()
-        if mass <= residual:
-            frac[cells] = 1.0
-            residual -= mass
-        else:
-            if mass > 0.0:
-                frac[cells] = residual / mass
-            residual = 0.0
+    mass = np.bincount(group, weights=flat[order])
+    # Budget left before each group, subtracted in service order.
+    left = np.cumsum(np.concatenate(([cfg.alpha], -mass[:-1])))
+    served = np.clip(left, 0.0, mass)
+    share = np.divide(served, mass, out=np.zeros_like(mass), where=mass > 0.0)
+    frac = np.empty_like(flat)
+    frac[order] = share[group]
     sched = (frac * flat).reshape(cfg.k, cfg.l)
     p = cfg.p_vector()[:, None]
     nxt = np.empty_like(zmat)
@@ -116,6 +101,17 @@ def fluid_step(z, cfg: NetworkConfig, sol: RelaxedSolution | None = None):
     nxt[:, 1:] = zmat[:, :-1] - p * sched[:, :-1]
     nxt[:, -1] += zmat[:, -1] - p[:, 0] * sched[:, -1]
     return OccupancyVector(z=nxt)
+
+
+@lru_cache(maxsize=32)
+def _region_cells(cfg: NetworkConfig, w_star: float) -> tuple:
+    """Masks of the cells strictly above w_star and of those tied with it."""
+    table = whittle_index_table(cfg.p_vector(), cfg.l)
+    above = table > w_star + TIE_TOL
+    tied = np.abs(table - w_star) <= TIE_TOL
+    above.setflags(write=False)
+    tied.setflags(write=False)
+    return above, tied
 
 
 def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
@@ -126,9 +122,9 @@ def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     alpha and the partially served cells are the ones tied at w_star.
     """
     zmat = _as_array(z)
-    table = whittle_index_table(cfg.p_vector(), cfg.l)
-    above = zmat[table > sol.w_star + TIE_TOL].sum()
-    at_or_above = above + zmat[np.abs(table - sol.w_star) <= TIE_TOL].sum()
+    above_cells, tied_cells = _region_cells(cfg, sol.w_star)
+    above = zmat[above_cells].sum()
+    at_or_above = above + zmat[tied_cells].sum()
     return bool(
         above < cfg.alpha + REGION_TOL and at_or_above >= cfg.alpha - REGION_TOL
     )
@@ -138,15 +134,25 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     """Build the affine map of the linear region from the flow structure.
 
     The full-coordinate update inside j_wstar is affine: cells above
-    w_star are fully served, the critical class's tied cells absorb the
-    affine residual alpha minus the fully-served mass, and every other
-    cell idles. The per-class mass constraints then eliminate one
-    coordinate per class, yielding (q, c) on k*(l-1) coordinates.
+    w_star are fully served, the critical class's first tied cell c0
+    carries the residual alpha minus the fully-served mass, and every
+    other cell idles. The class flows only see tied sums, so this
+    matches the proportional rule on the region. Per class the flows are
+    z' = a_z z + a_s s, with a_z the truncated age shift and a_s the
+    reset of served mass to age 1 at rate p_k, so the full-coordinate
+    map is z' = b z + alpha a_s[:, c0] with
+
+        b = a_z + a_s diag(full) - a_s[:, c0] full^T.
+
+    The last term lives in the critical class's rows only, so b is block
+    diagonal apart from that rank-one coupling and is assembled one
+    class block at a time. The per-class mass constraints then eliminate
+    one coordinate per class (age l_star_k - 1 for k != m, age l_star_m
+    for the critical class), yielding (q, c) on k*(l-1) coordinates.
     """
     k_cls, l, m = cfg.k, cfg.l, sol.m
     p_vec = cfg.p_vector()
     gamma = cfg.gamma_vector()
-    dim = k_cls * l
 
     for k in range(k_cls):
         if k != m and sol.l_star[k] < 2:
@@ -155,65 +161,41 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
                 "coordinate to eliminate"
             )
 
-    def cell(k: int, age: int) -> int:
-        return k * l + age - 1
-
-    # Cells served in full inside the region.
-    full = np.zeros(dim, dtype=bool)
-    for k in range(k_cls):
-        start = sol.thresholds[m][0] if k == m else sol.l_star[k]
-        for age in range(start, l + 1):
-            full[cell(k, age)] = True
-
-    # Scheduled mass as an affine function s(z) = m_s z + v_s. The
-    # critical class's first tied cell carries the whole residual; the
-    # class flows only see tied sums, so this matches the proportional
-    # rule on the region.
-    m_s = np.zeros((dim, dim))
-    v_s = np.zeros(dim)
-    m_s[full, full] = 1.0
-    c0 = cell(m, sol.l_star[m])
-    m_s[c0, full] -= 1.0
-    v_s[c0] = cfg.alpha
-
-    # Flows: z'(z, s) = a_z z + a_s s.
-    a_z = np.zeros((dim, dim))
-    a_s = np.zeros((dim, dim))
-    for k in range(k_cls):
-        for age in range(1, l + 1):
-            a_s[cell(k, 1), cell(k, age)] += p_vec[k]
-        for age in range(2, l + 1):
-            a_z[cell(k, age), cell(k, age - 1)] += 1.0
-            a_s[cell(k, age), cell(k, age - 1)] -= p_vec[k]
-        a_z[cell(k, l), cell(k, l)] += 1.0
-        a_s[cell(k, l), cell(k, l)] -= p_vec[k]
-
-    b = a_z + a_s @ m_s
-    d = a_s @ v_s
-
-    # Reduced coordinates: drop age l_star-1 for k != m, age l_star for m.
     reduction = tuple(
         sol.l_star[k] if k == m else sol.l_star[k] - 1 for k in range(k_cls)
     )
-    kept = [
-        cell(k, age)
-        for k in range(k_cls)
-        for age in range(1, l + 1)
-        if age != reduction[k]
-    ]
-    kept = np.array(kept, dtype=np.intp)
-    embed = np.zeros((dim, len(kept)))
-    offset = np.zeros(dim)
-    for col, c in enumerate(kept):
-        embed[c, col] = 1.0
-    for k in range(k_cls):
-        dropped = cell(k, reduction[k])
-        cols = [col for col, c in enumerate(kept) if c // l == k]
-        embed[dropped, cols] = -1.0
-        offset[dropped] = gamma[k]
+    ages = np.arange(1, l + 1)
+    full = [ages >= (sol.thresholds[m][0] if k == m else sol.l_star[k])
+            for k in range(k_cls)]
+    keep = [ages != reduction[k] for k in range(k_cls)]
+    a_z = np.eye(l, k=-1)
+    a_z[-1, -1] = 1.0
+    reset = np.zeros((l, l))
+    reset[0] = 1.0
+    col0 = p_vec[m] * (reset - a_z)[:, sol.l_star[m] - 1]
 
-    q = (b @ embed)[kept, :]
-    c_vec = (b @ offset + d)[kept]
+    d = l - 1
+    q = np.zeros((k_cls * d, k_cls * d))
+    c_vec = np.zeros(k_cls * d)
+    for k in range(k_cls):
+        rows = slice(k * d, (k + 1) * d)
+        for j in range(k_cls) if k == m else (k,):
+            if j == k:
+                a_s = p_vec[k] * (reset - a_z)
+                s = a_s * full[k]
+                if k == m:
+                    s -= np.outer(col0, full[k])
+                b = a_z + s
+            else:
+                b = -np.outer(col0, full[j])
+            # Substituting the dropped coordinate of class j, whose mass
+            # is gamma_j minus the kept ones, into the kept rows.
+            b_rows = b[keep[k]]
+            dropped = b_rows[:, reduction[j] - 1]
+            q[rows, j * d:(j + 1) * d] = b_rows[:, keep[j]] - dropped[:, None]
+            c_vec[rows] += dropped * gamma[j]
+        if k == m:
+            c_vec[rows] += col0[keep[k]] * cfg.alpha
     return LinearRegionSystem(
         q=q,
         c=c_vec,
@@ -326,6 +308,8 @@ def fluid_trajectory(
     every step, plus the geometric mean of the tail distance ratios as
     the empirical contraction factor.
     """
+    if steps < 0:
+        raise RangeError(f"steps must be >= 0, got {steps}")
     z = _as_array(z0)
     z_star = sol.z_star.z
     distances = np.empty(steps + 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +89,26 @@ def whittle_index_table(p: np.ndarray, l: int) -> np.ndarray:
     pv = np.asarray(p, dtype=float).reshape(-1, 1)
     ages = np.arange(1, l + 1, dtype=float)
     return ages * (ages - 1.0) * pv / 2.0 + ages - ages * (1.0 - pv) ** (l - ages)
+
+
+@lru_cache(maxsize=32)
+def service_order(p: tuple[float, ...], l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (class, age) cells in decreasing index order, with tie groups.
+
+    Cells are flat indices k*l + age - 1 into whittle_index_table(p, l).
+    order lists them by decreasing index value, stable so equal values
+    keep class-major order; group[j] is the tie group of cell order[j],
+    counting up from 0, and a new group starts wherever two adjacent
+    values in that order differ by more than TIE_TOL. Both arrays are
+    read-only because the cache hands them to every caller.
+    """
+    flat = whittle_index_table(np.array(p), l).ravel()
+    order = np.argsort(-flat, kind="stable")
+    steps = -np.diff(flat[order]) > TIE_TOL
+    group = np.concatenate(([0], np.cumsum(steps)))
+    order.setflags(write=False)
+    group.setflags(write=False)
+    return order, group
 
 
 def stationary_distribution(n: int, p: float, l: int) -> np.ndarray:
@@ -181,17 +202,6 @@ def cost_pair(n: int, w: float, p: float, l: int) -> CostPair:
     a = age_cost(n, p, l)
     s = sched_cost(n, w, p, l)
     return CostPair(age_cost=a, sched_cost=s, total=a + s)
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy1D:
-    """Schedule iff age >= n; n = l+1 encodes "never schedule"."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise RangeError(f"threshold must be a positive integer, got {self.n!r}")
 
 
 def optimal_thresholds(w: float, p: float, l: int) -> tuple[int, int]:

@@ -4,15 +4,19 @@ Three independent solvers:
 
 * stationary_by_balance: direct linear solve of the threshold chain's
   balance equations, oracle for the closed-form stationary distribution.
-* rvi_one_dim: relative value iteration on the single-user subsidized
-  MDP, oracle for the threshold structure and the average-cost formulas.
+* rvi_one_dim: policy iteration on the single-user subsidized MDP over
+  all schedule/idle rules on the l ages, oracle for the threshold
+  structure and the average-cost formulas.
 * joint_mdp_optimal: exact relative value iteration on the joint n-user
   MDP with the true per-slot budget, tractable only at toy sizes.
 
-Both RVI solvers run on the aperiodicity-transformed kernel
-(1 - tau)*I + tau*P with the stage cost unchanged. The transform keeps
-the average cost and the optimal policy of every stationary policy and
-makes the iteration converge for periodic chains (p = 1 thresholds).
+The joint solver runs damped relative value iteration, that is value
+iteration on the aperiodicity-transformed kernel (1 - tau)*I + tau*P with
+the stage cost unchanged. The transform keeps the average cost and the
+optimal policy of every stationary policy and makes the iteration
+converge for periodic chains (p = 1 thresholds). Policy iteration solves
+each policy's average-cost equations exactly and needs no transform;
+rvi_one_dim still reports its relative values on the transformed scale.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RangeError, SingularSystemError, SizeError
+from .index import _check_l, _check_p
 from .model import NetworkConfig, validate_config
 
 SPAN_TOL = 1e-9
@@ -62,10 +67,8 @@ def _threshold_chain_kernel(n: int, p: float, l: int) -> np.ndarray:
 
 def stationary_by_balance(n: int, p: float, l: int) -> np.ndarray:
     """Solve pi = pi P, sum(pi) = 1 for the threshold chain directly."""
-    if not 0.0 < p <= 1.0:
-        raise RangeError(f"p must lie in (0, 1], got {p!r}")
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 2:
-        raise RangeError(f"l must be an integer >= 2, got {l!r}")
+    _check_p(p)
+    _check_l(l)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise RangeError(f"threshold must be an integer, got {n!r}")
     if not 1 <= n <= l + 1:
@@ -85,49 +88,61 @@ def stationary_by_balance(n: int, p: float, l: int) -> np.ndarray:
 
 
 def rvi_one_dim(p: float, l: int, w: float) -> RviResult:
-    """Relative value iteration for the single-user subsidized MDP.
+    """Policy iteration for the single-user subsidized MDP.
 
     State is the age in {1, ..., l}. Idling costs the age and lets it
     grow (truncated at l); scheduling additionally costs the subsidy w
-    and resets the age to 1 with probability p. Iterates the damped
-    Bellman operator with reference state age 1 until the span of
-    successive differences drops below SPAN_TOL.
+    and resets the age to 1 with probability p. Each policy is evaluated
+    by one linear solve of its average-cost equations g + h = c + P h
+    with h(1) = 0; a state switches action only when the other action is
+    cheaper by more than GREEDY_TIE_TOL, so the iteration stops at the
+    first policy that no switch improves. value_fn is h / DAMPING, the
+    relative value of the aperiodicity-transformed chain at reference
+    age 1.
     """
-    if not 0.0 < p <= 1.0:
-        raise RangeError(f"p must lie in (0, 1], got {p!r}")
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 2:
-        raise RangeError(f"l must be an integer >= 2, got {l!r}")
+    _check_p(p)
+    _check_l(l)
     if w < 0.0:
         raise RangeError(f"subsidy must be >= 0, got {w!r}")
     ages = np.arange(1, l + 1, dtype=float)
     nxt = np.minimum(np.arange(2, l + 2), l) - 1  # index of min(age+1, l)
-    value = np.zeros(l)
-    tau = DAMPING
+    states = np.arange(l)
+    schedule = np.full(l, w <= GREEDY_TIE_TOL)
     for _ in range(MAX_ITERS):
-        q_idle = ages + tau * value[nxt]
-        q_tx = ages + w + tau * (p * value[0] + (1.0 - p) * value[nxt])
-        updated = (1.0 - tau) * value + np.minimum(q_idle, q_tx)
-        diff = updated - value
-        span = diff.max() - diff.min()
-        value = updated - updated[0]
-        if span < SPAN_TOL:
-            avg_cost = 0.5 * (diff.max() + diff.min())
-            q_idle = ages + tau * value[nxt]
-            q_tx = ages + w + tau * (p * value[0] + (1.0 - p) * value[nxt])
-            policy = q_tx <= q_idle + GREEDY_TIE_TOL
-            scheduled = np.flatnonzero(policy)
-            threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
-            if not np.all(policy[threshold - 1 :]):
-                raise ConvergenceError(
-                    "greedy policy is not a threshold policy"
-                )
-            return RviResult(
-                avg_cost=float(avg_cost),
-                value_fn=value,
-                policy=policy,
-                threshold=threshold,
-            )
-    raise ConvergenceError(f"rvi did not reach span {SPAN_TOL} in {MAX_ITERS} steps")
+        rate = p * schedule
+        kernel = np.zeros((l, l))
+        kernel[states, nxt] = 1.0 - rate
+        kernel[:, 0] += rate
+        # Unknowns (g, h(2), ..., h(l)); h(1) = 0 frees the first column.
+        system = np.eye(l) - kernel
+        system[:, 0] = 1.0
+        try:
+            solution = np.linalg.solve(system, ages + w * schedule)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"policy evaluation singular: {exc}"
+            ) from exc
+        avg_cost = solution[0]
+        h = np.concatenate(([0.0], solution[1:]))
+        q_idle = ages + h[nxt]
+        q_tx = ages + w + p * h[0] + (1.0 - p) * h[nxt]
+        improved = np.where(schedule, q_idle < q_tx - GREEDY_TIE_TOL,
+                            q_tx < q_idle - GREEDY_TIE_TOL)
+        if improved.any():
+            schedule = schedule ^ improved
+            continue
+        policy = q_tx <= q_idle + GREEDY_TIE_TOL
+        scheduled = np.flatnonzero(policy)
+        threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
+        if not np.all(policy[threshold - 1 :]):
+            raise ConvergenceError("greedy policy is not a threshold policy")
+        return RviResult(
+            avg_cost=float(avg_cost),
+            value_fn=h / DAMPING,
+            policy=policy,
+            threshold=threshold,
+        )
+    raise ConvergenceError(f"policy iteration did not settle in {MAX_ITERS} steps")
 
 
 def joint_mdp_optimal(cfg: NetworkConfig) -> float:

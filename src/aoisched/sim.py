@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .index import TIE_TOL, whittle_index_table
+from .index import service_order
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution
 
@@ -106,16 +106,9 @@ def _whittle_rank(cfg: NetworkConfig) -> np.ndarray:
     Cells tied in index value share a rank group, so the final user key
     (rank, user id) implements the documented (class, user) tie-break.
     """
-    table = whittle_index_table(cfg.p_vector(), cfg.l)
-    flat = table.ravel()
-    order = np.argsort(-flat, kind="stable")
-    group = np.empty(flat.size, dtype=np.int64)
-    gid = 0
-    group[order[0]] = 0
-    for prev, cur in zip(order[:-1], order[1:]):
-        if flat[prev] - flat[cur] > TIE_TOL:
-            gid += 1
-        group[cur] = gid
+    order, group_sorted = service_order(tuple(cfg.p_vector()), cfg.l)
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = group_sorted
     ranks = (group.reshape(cfg.k, cfg.l) * cfg.k
              + np.arange(cfg.k)[:, None])
     return np.ascontiguousarray(ranks)

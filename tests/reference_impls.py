@@ -1,0 +1,160 @@
+"""Straightforward reference versions of the package's fast paths.
+
+Each function here is the plain implementation the package once shipped:
+a Python loop over tie groups for the fluid map and the cell ranks, dense
+(k*l) x (k*l) flow matrices for the linear region, and damped relative
+value iteration for the single-user MDP. Tests compare the package
+against them; nothing in src/ imports this module.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from aoisched.index import TIE_TOL, whittle_index_table
+from aoisched.model import OccupancyVector
+
+DAMPING = 0.5
+SPAN_TOL = 1e-9
+MAX_ITERS = 10 ** 6
+GREEDY_TIE_TOL = 1e-12
+
+
+def descending_groups(cfg) -> list[np.ndarray]:
+    """Flat cell indices grouped by equal index value, best first."""
+    table = whittle_index_table(cfg.p_vector(), cfg.l).ravel()
+    order = np.argsort(-table, kind="stable")
+    groups = []
+    current = [order[0]]
+    for c in order[1:]:
+        if table[current[-1]] - table[c] <= TIE_TOL:
+            current.append(c)
+        else:
+            groups.append(np.array(current, dtype=np.intp))
+            current = [c]
+    groups.append(np.array(current, dtype=np.intp))
+    return groups
+
+
+def whittle_rank(cfg) -> np.ndarray:
+    """Rank of each (class, age) cell under (index desc, class asc)."""
+    flat = whittle_index_table(cfg.p_vector(), cfg.l).ravel()
+    order = np.argsort(-flat, kind="stable")
+    group = np.empty(flat.size, dtype=np.int64)
+    gid = 0
+    group[order[0]] = 0
+    for prev, cur in zip(order[:-1], order[1:]):
+        if flat[prev] - flat[cur] > TIE_TOL:
+            gid += 1
+        group[cur] = gid
+    return group.reshape(cfg.k, cfg.l) * cfg.k + np.arange(cfg.k)[:, None]
+
+
+def fluid_step(z, cfg) -> OccupancyVector:
+    """One fluid slot, serving the tie groups one at a time."""
+    zmat = np.array(z, dtype=float)
+    flat = zmat.ravel()
+    frac = np.zeros_like(flat)
+    residual = cfg.alpha
+    for cells in descending_groups(cfg):
+        if residual <= 0.0:
+            break
+        mass = flat[cells].sum()
+        if mass <= residual:
+            frac[cells] = 1.0
+            residual -= mass
+        else:
+            if mass > 0.0:
+                frac[cells] = residual / mass
+            residual = 0.0
+    sched = (frac * flat).reshape(cfg.k, cfg.l)
+    p = cfg.p_vector()[:, None]
+    nxt = np.empty_like(zmat)
+    nxt[:, 0] = (p[:, 0] * sched.sum(axis=1))
+    nxt[:, 1:] = zmat[:, :-1] - p * sched[:, :-1]
+    nxt[:, -1] += zmat[:, -1] - p[:, 0] * sched[:, -1]
+    return OccupancyVector(z=nxt)
+
+
+def assemble_linear(cfg, sol) -> tuple[np.ndarray, np.ndarray]:
+    """(q, c) of the linear region from dense full-coordinate flow matrices."""
+    k_cls, l, m = cfg.k, cfg.l, sol.m
+    p_vec = cfg.p_vector()
+    gamma = cfg.gamma_vector()
+    dim = k_cls * l
+
+    def cell(k: int, age: int) -> int:
+        return k * l + age - 1
+
+    full = np.zeros(dim, dtype=bool)
+    for k in range(k_cls):
+        start = sol.thresholds[m][0] if k == m else sol.l_star[k]
+        for age in range(start, l + 1):
+            full[cell(k, age)] = True
+
+    m_s = np.zeros((dim, dim))
+    v_s = np.zeros(dim)
+    m_s[full, full] = 1.0
+    c0 = cell(m, sol.l_star[m])
+    m_s[c0, full] -= 1.0
+    v_s[c0] = cfg.alpha
+
+    a_z = np.zeros((dim, dim))
+    a_s = np.zeros((dim, dim))
+    for k in range(k_cls):
+        for age in range(1, l + 1):
+            a_s[cell(k, 1), cell(k, age)] += p_vec[k]
+        for age in range(2, l + 1):
+            a_z[cell(k, age), cell(k, age - 1)] += 1.0
+            a_s[cell(k, age), cell(k, age - 1)] -= p_vec[k]
+        a_z[cell(k, l), cell(k, l)] += 1.0
+        a_s[cell(k, l), cell(k, l)] -= p_vec[k]
+
+    b = a_z + a_s @ m_s
+    d = a_s @ v_s
+
+    reduction = tuple(
+        sol.l_star[k] if k == m else sol.l_star[k] - 1 for k in range(k_cls)
+    )
+    kept = np.array([
+        cell(k, age)
+        for k in range(k_cls)
+        for age in range(1, l + 1)
+        if age != reduction[k]
+    ], dtype=np.intp)
+    embed = np.zeros((dim, len(kept)))
+    offset = np.zeros(dim)
+    for col, c in enumerate(kept):
+        embed[c, col] = 1.0
+    for k in range(k_cls):
+        dropped = cell(k, reduction[k])
+        cols = [col for col, c in enumerate(kept) if c // l == k]
+        embed[dropped, cols] = -1.0
+        offset[dropped] = gamma[k]
+
+    return (b @ embed)[kept, :], (b @ offset + d)[kept]
+
+
+def rvi_one_dim(p: float, l: int, w: float) -> tuple[float, np.ndarray, int]:
+    """(avg_cost, value_fn, threshold) by damped relative value iteration.
+
+    value_fn is relative to age 1 on the aperiodicity-transformed kernel
+    (1 - DAMPING)*I + DAMPING*P.
+    """
+    ages = np.arange(1, l + 1, dtype=float)
+    nxt = np.minimum(np.arange(2, l + 2), l) - 1
+    value = np.zeros(l)
+    tau = DAMPING
+    for _ in range(MAX_ITERS):
+        q_idle = ages + tau * value[nxt]
+        q_tx = ages + w + tau * (p * value[0] + (1.0 - p) * value[nxt])
+        updated = (1.0 - tau) * value + np.minimum(q_idle, q_tx)
+        diff = updated - value
+        span = diff.max() - diff.min()
+        value = updated - updated[0]
+        if span < SPAN_TOL:
+            q_idle = ages + tau * value[nxt]
+            q_tx = ages + w + tau * (p * value[0] + (1.0 - p) * value[nxt])
+            scheduled = np.flatnonzero(q_tx <= q_idle + GREEDY_TIE_TOL)
+            threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
+            return float(0.5 * (diff.max() + diff.min())), value, threshold
+    raise AssertionError("reference rvi did not converge")

@@ -121,6 +121,14 @@ def test_fluid_command(tmp_path, capsys):
     assert payload["in_region"][-1] is True
 
 
+def test_fluid_negative_steps_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["fluid", "--config", cfg_path, "--steps", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "RangeError"
+
+
 def test_spectral_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     assert main(["spectral", "--config", cfg_path]) == 0

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.errors import DegenerateThresholdError
 from aoisched.fluid import (
@@ -41,6 +43,24 @@ def region_samples(cfg, sol, count=300, scale=0.05, seed=0):
         if in_region(z, cfg, sol):
             out.append(z)
     return out
+
+
+def random_configs(seed):
+    """Endless criterion-5-style instances: 1-4 classes, l in 3..30."""
+    rng = np.random.default_rng(seed)
+    while True:
+        k = int(rng.integers(1, 5))
+        sizes = rng.integers(1, 4, size=k) * int(rng.integers(1, 4))
+        n = int(sizes.sum())
+        if n < 2:
+            continue
+        l = int(rng.integers(3, 31))
+        m = int(rng.integers(1, n))
+        classes = tuple(
+            ClassSpec(p=float(rng.uniform(0.1, 1.0)), gamma=int(s) / n)
+            for s in sizes
+        )
+        yield NetworkConfig(n=n, alpha=m / n, l=l, classes=classes), rng
 
 
 def test_fluid_step_sure_channel():
@@ -146,3 +166,55 @@ def test_degenerate_threshold_rejected():
     sol = solve_rp(cfg)
     with pytest.raises(DegenerateThresholdError):
         assemble_linear(cfg, sol)
+
+
+def test_fast_paths_match_reference():
+    # q and c from per-class blocks, and fluid_step from one cumsum over
+    # the tie groups, against the dense-matrix and group-loop references
+    accepted = 0
+    worst_q = worst_c = worst_step = 0.0
+    for cfg, rng in random_configs(20260819):
+        sol = solve_rp(cfg)
+        starts = (
+            sol.z_star.z,
+            rng.dirichlet(np.ones(cfg.k * cfg.l)).reshape(cfg.k, cfg.l),
+            rng.uniform(0.0, 0.2 * cfg.alpha / cfg.l, size=(cfg.k, cfg.l)),
+        )
+        for z in starts:
+            diff = np.abs(fluid_step(z, cfg).z - ref.fluid_step(z, cfg).z)
+            worst_step = max(worst_step, float(diff.max()))
+        try:
+            sysm = assemble_linear(cfg, sol)
+        except DegenerateThresholdError:
+            continue
+        q, c = ref.assemble_linear(cfg, sol)
+        assert sysm.q.shape == q.shape
+        worst_q = max(worst_q, float(np.abs(sysm.q - q).max()))
+        worst_c = max(worst_c, float(np.abs(sysm.c - c).max()))
+        accepted += 1
+        if accepted == 200:
+            break
+    assert worst_q <= 1e-12
+    assert worst_c <= 1e-12
+    assert worst_step <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fluid_step_conserves_mass_and_spends_budget(data):
+    k = data.draw(st.integers(1, 3))
+    l = data.draw(st.integers(2, 12))
+    # a small pool of p values makes cross-class index ties common
+    p = st.sampled_from((0.25, 0.5, 1.0)) | st.floats(0.01, 1.0)
+    ps = data.draw(st.lists(p, min_size=k, max_size=k))
+    alpha = data.draw(st.floats(0.01, 0.99))
+    cells = st.floats(0.0, 1.0) | st.just(0.0)
+    z = np.array(data.draw(st.lists(cells, min_size=k * l, max_size=k * l)))
+    z = z.reshape(k, l)
+    cfg = NetworkConfig(n=100, alpha=alpha, l=l,
+                        classes=tuple(ClassSpec(p=pk, gamma=1.0 / k) for pk in ps))
+    out = fluid_step(z, cfg).z
+    np.testing.assert_allclose(out.sum(axis=1), z.sum(axis=1), rtol=0, atol=1e-12)
+    # served mass of class k returns to age 1 at rate p_k
+    served = float((out[:, 0] / np.array(ps)).sum())
+    assert served == pytest.approx(min(alpha, float(z.sum())), rel=0, abs=1e-12)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.errors import RangeError, SizeError
 from aoisched.index import cost_pair, optimal_thresholds, whittle_index
@@ -50,15 +51,19 @@ def test_rvi_policy_is_threshold_shaped():
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("l", [3, 7, 12])
 def test_rvi_matches_best_stationary_threshold(p, l):
-    # RVI over the single-user chain must land on the cheapest threshold
-    # among all stationary threshold policies, and that threshold must be
-    # one of the two closed-form candidates.
+    # The oracle must land on the cheapest threshold among all stationary
+    # threshold policies, and that threshold must be one of the two
+    # closed-form candidates. Its cost and relative values (scale and
+    # reference age included) must match damped value iteration.
     for w in (0.0, 0.4, 1.7, whittle_index(l - 1, p, l)):
         res = rvi_one_dim(p, l, w)
         best = min(cost_pair(n, w, p, l).total for n in range(1, l + 2))
         assert res.avg_cost == pytest.approx(best, abs=1e-6)
         l1, l2 = optimal_thresholds(w, p, l)
         assert res.threshold in (l1, l2)
+        avg_cost, value_fn, _ = ref.rvi_one_dim(p, l, w)
+        assert abs(res.avg_cost - avg_cost) <= 1e-9
+        np.testing.assert_allclose(res.value_fn, value_fn, rtol=0, atol=1e-8)
 
 
 def test_stationary_balance_agrees_with_closed_form():

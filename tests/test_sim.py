@@ -1,14 +1,19 @@
 """Discrete-event simulator: scheduling order, dynamics, and estimators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
+from aoisched.cli import ExperimentSpec, run_experiment
 from aoisched.errors import RangeError, ShapeError
 from aoisched.index import whittle_index_table
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
     PolicyKind,
+    _whittle_rank,
     class_ids,
     fluid_deviation,
     greedy_policy,
@@ -116,6 +121,45 @@ def test_schedule_matches_index_sort_reference():
         assert whittle_schedule(ages, cfg).tolist() == sorted(ref)
         checked += 1
     assert checked >= 40
+
+
+def test_whittle_rank_matches_group_loop_reference():
+    rng = np.random.default_rng(5)
+    cases = [mixed_ref(), big_ref(), one_class(1.0, 3, 0.5, 2),
+             one_class(0.5, 8, 1.0 / 3.0, 3)]
+    for _ in range(100):
+        k = int(rng.integers(1, 5))
+        # repeated p values tie whole classes, p = 1 ties every age
+        ps = rng.choice([0.3, 0.5, 1.0, float(rng.uniform(0.05, 1.0))], size=k)
+        cases.append(NetworkConfig(
+            n=4 * k, alpha=0.25, l=int(rng.integers(2, 40)),
+            classes=tuple(ClassSpec(p=float(p), gamma=1.0 / k) for p in ps),
+        ))
+    for cfg in cases:
+        rank = _whittle_rank(cfg)
+        expected = ref.whittle_rank(cfg)
+        assert rank.dtype == expected.dtype
+        np.testing.assert_array_equal(rank, expected)
+
+
+def test_experiment_rows_are_pinned(tmp_path):
+    # rows.csv of a tie-heavy sweep over all four policies; the digest
+    # moves with any change to the RNG streams or the scheduled sets
+    base = NetworkConfig(
+        n=12, alpha=0.5, l=8,
+        classes=(ClassSpec(p=0.8, gamma=1 / 3), ClassSpec(p=0.5, gamma=1 / 3),
+                 ClassSpec(p=0.5, gamma=1 / 3)),
+    )
+    run_experiment(ExperimentSpec(
+        base=base, n_sweep=(12, 24),
+        policies=("whittle", "greedy_max_age", "rp_threshold", "uniform_random"),
+        replications=2, horizon=300, seed=7, out=str(tmp_path),
+        epsilon=0.5, initial="maxed",
+    ))
+    digest = hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "0b44d626bec6b87e7e0f5c67a19347979a68a4c656025485a43e0f9c4c9f77d0"
+    )
 
 
 def test_random_tie_break_spreads_selection():
