@@ -152,9 +152,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             raise RangeError(f"unknown policy {name!r}")
     if not spec.n_sweep:
         raise RangeError("n sweep is empty")
-    if spec.replications < 1:
-        raise RangeError(f"replications must be >= 1, got {spec.replications}")
-    if spec.epsilon is not None and spec.epsilon <= 0:
+    _check_replications(spec.replications)
+    if spec.epsilon is not None and not spec.epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {spec.epsilon}")
     if spec.initial not in INITIAL_KINDS:
         raise RangeError(f"unknown initial state kind {spec.initial!r}")
@@ -335,7 +334,13 @@ def _write_rows(rows, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_replications(count: int) -> None:
+    if count < 1:
+        raise RangeError(f"replications must be >= 1, got {count}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_replications(args.replications)
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
     init = _initial_ages(args.initial, cfg, sol)
@@ -355,6 +360,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_hitting_time(args) -> int:
+    _check_replications(args.replications)
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
     init = _initial_ages(args.initial, cfg, sol)

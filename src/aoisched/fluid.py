@@ -12,7 +12,16 @@ through the per-class mass constraint (the age l_star_k - 1 coordinate
 for k != m, age l_star_m for the critical class), giving z' = Q z + c on
 the reduced coordinates. The spectral radius of Q certifies local
 geometric convergence to the fixed point z_star and is computed by two
-independent routes that must agree.
+independent routes that must agree: eigenvalues read off the numbers in
+Q, and the closed-form characteristic factors of each class.
+
+The first route deflates each class block before any eigensolve. From
+the first fully served age f_k on, the block acts on sum-zero tail
+vectors as a (1-p_k)-scaled shift, a defective Jordan block whose dense
+eigenvalues would come back as a spurious ring of size about
+(1-p_k) eps**(1/dim). That tail is checked on Q to be invariant and
+nilpotent and contributes exact zeros; only the (f_k - 1)-dimensional
+quotient (head coordinates plus the tail sum) is solved.
 """
 from __future__ import annotations
 
@@ -42,7 +51,8 @@ ZERO_DIST = 1e-14
 class LinearRegionSystem:
     """Affine map z' = q z + c on the reduced coordinates of j_wstar.
 
-    reduction[k] is the 1-based age coordinate eliminated for class k.
+    reduction[k] is the 1-based age coordinate eliminated for class k,
+    and full_from[k] its first fully served age (l+1 when none is).
     q is block structured: one (l-1) x (l-1) diagonal block per class,
     with off-diagonal coupling only in the critical class's block row.
     """
@@ -50,6 +60,7 @@ class LinearRegionSystem:
     q: np.ndarray
     c: np.ndarray
     reduction: tuple[int, ...]
+    full_from: tuple[int, ...]
     p: tuple[float, ...]
     l_star: tuple[int, ...]
     m: int
@@ -164,9 +175,11 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     reduction = tuple(
         sol.l_star[k] if k == m else sol.l_star[k] - 1 for k in range(k_cls)
     )
+    full_from = tuple(
+        sol.thresholds[m][0] if k == m else sol.l_star[k] for k in range(k_cls)
+    )
     ages = np.arange(1, l + 1)
-    full = [ages >= (sol.thresholds[m][0] if k == m else sol.l_star[k])
-            for k in range(k_cls)]
+    full = [ages >= f for f in full_from]
     keep = [ages != reduction[k] for k in range(k_cls)]
     a_z = np.eye(l, k=-1)
     a_z[-1, -1] = 1.0
@@ -200,6 +213,7 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
         q=q,
         c=c_vec,
         reduction=reduction,
+        full_from=full_from,
         p=tuple(float(x) for x in p_vec),
         l_star=tuple(sol.l_star),
         m=m,
@@ -226,24 +240,68 @@ def _closed_form_radius(sys: LinearRegionSystem) -> float:
     return rho
 
 
+def _tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
+    """Deflate a class block onto the quotient by its served tail.
+
+    The block's first h coordinates are the head, ages below the first
+    fully served age; the rest are the tail. With the basis
+    v_i = e_{t_i} - e_{t_{i+1}} of the sum-zero tail vectors V, the
+    columns blk v_i are checked to have no head component, to have a
+    zero tail sum and to have strictly lower triangular V-coordinates
+    (prefix sums of their tail). Then V is invariant and nilpotent under
+    the block, whose spectrum is that of the returned (h+1) x (h+1)
+    quotient on (head, tail sum) plus one exact zero per dimension of V.
+    """
+    if h >= blk.shape[0]:
+        return blk
+    moved = blk[:, h:-1] - blk[:, h + 1:]
+    head = np.abs(moved[:h]).max(initial=0.0)
+    coords = np.cumsum(moved[h:], axis=0)
+    # At most two block-sized temporaries are alive at once.
+    del moved
+    np.abs(coords, out=coords)
+    residuals = (
+        ("head component", head, AFFINE_TOL),
+        ("tail sum", coords[-1].max(initial=0.0), AFFINE_TOL),
+        ("non-nilpotent tail", np.triu(coords[:-1]).max(initial=0.0),
+         NILPOTENT_TOL),
+    )
+    for what, residual, tol in residuals:
+        if residual > tol:
+            raise ConvergenceError(
+                f"class {k}: served tail not invariant, {what} residual "
+                f"{residual:.3e}"
+            )
+    quot = blk[:h + 1, :h + 1].copy()
+    quot[h] = blk[h:, :h + 1].sum(axis=0)
+    return quot
+
+
 def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
-    """Eigenvalues of q, one diagonal class block at a time.
+    """Eigenvalues of q, one deflated diagonal class block at a time.
 
     Rows of a non-critical class never reference other classes, so q is
     block triangular and its spectrum is the union of the class blocks.
-    The critical class and never-served classes are nilpotent by
-    construction; a dense eigensolve on such a defective block returns
-    spurious values of size eps**(1/dim), so those blocks are certified
-    by squaring past the nilpotency index and contribute exact zeros.
+    Each block is first deflated by _tail_quotient: from the first fully
+    served age f_k on, sum-zero tail vectors are shifted down the ages
+    at rate 1-p_k, an exactly nilpotent action that a dense eigensolve
+    would return as a spurious ring of size about (1-p_k) eps**(1/dim).
+    Those l-f_k dimensions contribute exact zeros and only the
+    (f_k-1)-dimensional quotient is solved. The critical class and
+    never-served classes are nilpotent by construction, so their quotient
+    is certified by squaring past the nilpotency index and contributes
+    exact zeros as well.
     """
     d = sys.l - 1
     parts = []
-    for k in range(len(sys.l_star)):
+    for k, f in enumerate(sys.full_from):
         blk = sys.q[k * d:(k + 1) * d, k * d:(k + 1) * d]
+        quot = _tail_quotient(blk, f - 2, k)
+        parts.append(np.zeros(d - len(quot), dtype=complex))
         if k == sys.m or sys.l_star[k] == sys.l + 1:
-            power = blk
+            power = quot
             exponent = 1
-            while exponent < 4 * d:
+            while exponent < 4 * len(quot):
                 power = power @ power
                 exponent *= 2
             residual = float(np.abs(power).max())
@@ -252,25 +310,13 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
                     f"class {k}: expected nilpotent block, residual "
                     f"{residual:.3e} after power {exponent}"
                 )
-            parts.append(np.zeros(d, dtype=complex))
+            parts.append(np.zeros(len(quot), dtype=complex))
             continue
         try:
-            parts.append(np.linalg.eigvals(blk))
+            parts.append(np.linalg.eigvals(quot))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     return np.concatenate(parts)
-
-
-def spectral_radius(sys: LinearRegionSystem) -> float:
-    """max |eigenvalue| of q, certified by two independent routes."""
-    eigs = _block_spectrum(sys)
-    dense = float(np.abs(eigs).max()) if eigs.size else 0.0
-    closed = _closed_form_radius(sys)
-    if abs(dense - closed) > ROUTE_TOL:
-        raise ConvergenceError(
-            f"spectral routes disagree: dense {dense} vs closed form {closed}"
-        )
-    return dense
 
 
 def spectral_report(sys: LinearRegionSystem) -> dict:
@@ -285,6 +331,17 @@ def spectral_report(sys: LinearRegionSystem) -> dict:
         "route_agreement": abs(dense - closed),
         "eigenvalues": [[float(e.real), float(e.imag)] for e in eigs[order]],
     }
+
+
+def spectral_radius(sys: LinearRegionSystem) -> float:
+    """max |eigenvalue| of q, certified by two independent routes."""
+    report = spectral_report(sys)
+    if report["route_agreement"] > ROUTE_TOL:
+        raise ConvergenceError(
+            f"spectral routes disagree: dense {report['rho']} vs closed form "
+            f"{report['rho_closed_form']}"
+        )
+    return report["rho"]
 
 
 def reduce_occupancy(z, sys: LinearRegionSystem) -> np.ndarray:

@@ -18,7 +18,6 @@ from .errors import InfeasibleError, RangeError
 from .index import (
     TIE_TOL,
     age_cost,
-    optimal_thresholds,
     stationary_distribution,
     whittle_index_table,
 )
@@ -53,6 +52,14 @@ class RelaxedSolution:
     l_star: tuple[int, ...]
 
 
+def _fractions(thresholds: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    """scheduled_fraction of every column of a (k, count) threshold array."""
+    total = np.zeros(thresholds.shape[1])
+    for cls, n in zip(cfg.classes, thresholds):
+        total += np.where(n <= cfg.l, cls.gamma / (n * cls.p + 1.0 - cls.p), 0.0)
+    return total
+
+
 def scheduled_fraction(thresholds, cfg: NetworkConfig) -> float:
     """Total stationary fraction of scheduled users under per-class thresholds.
 
@@ -63,14 +70,11 @@ def scheduled_fraction(thresholds, cfg: NetworkConfig) -> float:
         raise RangeError(
             f"expected {cfg.k} thresholds, got {len(thresholds)}"
         )
-    total = 0.0
-    for cls, n in zip(cfg.classes, thresholds):
-        n = int(n)
-        if not 1 <= n <= cfg.l + 1:
-            raise RangeError(f"threshold {n} outside 1..{cfg.l + 1}")
-        if n <= cfg.l:
-            total += cls.gamma / (n * cls.p + 1.0 - cls.p)
-    return total
+    for n in thresholds:
+        if not 1 <= int(n) <= cfg.l + 1:
+            raise RangeError(f"threshold {int(n)} outside 1..{cfg.l + 1}")
+    column = np.array([[int(n)] for n in thresholds])
+    return float(_fractions(column, cfg)[0])
 
 
 def _mixture_z(cfg, thresholds, m, theta, l_star) -> np.ndarray:
@@ -103,34 +107,36 @@ def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
     The scheduled fraction A(w) is a nonincreasing step function of the
     subsidy, equal to A1 (all classes at l1) just after a candidate and
     to A2 (all classes at l2) just before it, so the first candidate with
-    A1 <= alpha <= A2 is the critical one. Classes tied at that value are
-    then flipped from l1 to l2 in class order; the flip that crosses
-    alpha identifies the critical class m and its randomization
-    theta_star. Classes flipped before m stay at l2, which the l_star
-    field records.
+    A1 <= alpha <= A2 is the critical one. The thresholds of every class
+    at every candidate are counts of index values, as in
+    optimal_thresholds, read off one sorted table by binary search.
+    Classes tied at the critical value are then flipped from l1 to l2 in
+    class order; the flip that crosses alpha identifies the critical
+    class m and its randomization theta_star. Classes flipped before m
+    stay at l2, which the l_star field records.
     """
     validate_config(cfg)
     alpha, l = cfg.alpha, cfg.l
     table = whittle_index_table(cfg.p_vector(), l)
-    values = np.sort(np.unique(table.ravel()))
     # Group near-identical values so exact ties form one candidate.
     candidates = []
-    for v in values:
+    for v in np.unique(table):
         if not candidates or v - candidates[-1] > TIE_TOL:
             candidates.append(float(v))
+    w = np.array(candidates)
+    rows = np.sort(table, axis=1)
+    l1 = 1 + np.array([np.searchsorted(r, w + TIE_TOL, side="right") for r in rows])
+    l2 = 1 + np.array([np.searchsorted(r, w - TIE_TOL, side="left") for r in rows])
+    a_hi = _fractions(l1, cfg)
+    a_lo = _fractions(l2, cfg)
+    bracketing = (a_hi <= alpha + BUDGET_SLACK) & (alpha <= a_lo + BUDGET_SLACK)
 
-    for w_c in candidates:
-        pairs = tuple(
-            optimal_thresholds(w_c, cls.p, l) for cls in cfg.classes
-        )
-        a_hi = scheduled_fraction([p1 for p1, _ in pairs], cfg)
-        a_lo = scheduled_fraction([p2 for _, p2 in pairs], cfg)
-        if not (a_hi <= alpha + BUDGET_SLACK and alpha <= a_lo + BUDGET_SLACK):
-            continue
+    for c in np.flatnonzero(bracketing):
+        pairs = tuple((int(n1), int(n2)) for n1, n2 in zip(l1[:, c], l2[:, c]))
         # Flip tied classes from l1 to l2 in class order until the
         # scheduled fraction crosses alpha.
         l_star = [p1 for p1, _ in pairs]
-        a_cur = a_hi
+        a_cur = float(a_hi[c])
         for k, (p1, p2) in enumerate(pairs):
             if p1 == p2:
                 continue
@@ -154,7 +160,7 @@ def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
                     else:
                         c_rp += cls.gamma * age_cost(l_star[j], cls.p, l)
                 return RelaxedSolution(
-                    w_star=w_c,
+                    w_star=candidates[c],
                     m=m,
                     theta_star=float(theta),
                     thresholds=pairs,

@@ -280,8 +280,10 @@ def hitting_time(cfg: NetworkConfig, initial, epsilon: float, seed: int,
     as slot 0. Returns None when cap slots pass without entering the
     ball.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {epsilon}")
+    if cap < 0:
+        raise RangeError(f"cap must be >= 0, got {cap}")
     if sol is None:
         from .relaxed import solve_rp
 

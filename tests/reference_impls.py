@@ -2,16 +2,26 @@
 
 Each function here is the plain implementation the package once shipped:
 a Python loop over tie groups for the fluid map and the cell ranks, dense
-(k*l) x (k*l) flow matrices for the linear region, and damped relative
-value iteration for the single-user MDP. Tests compare the package
-against them; nothing in src/ imports this module.
+(k*l) x (k*l) flow matrices for the linear region, a dense eigensolve of
+every undeflated class block, damped relative value iteration for the
+single-user MDP, and a relaxed solver that recomputes the thresholds of
+each candidate subsidy from scratch. Tests compare the package against
+them; nothing in src/ imports this module.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from aoisched.index import TIE_TOL, whittle_index_table
-from aoisched.model import OccupancyVector
+from aoisched.errors import ConvergenceError, InfeasibleError
+from aoisched.fluid import NILPOTENT_TOL
+from aoisched.index import TIE_TOL, age_cost, optimal_thresholds, whittle_index_table
+from aoisched.model import OccupancyVector, validate_config
+from aoisched.relaxed import (
+    BUDGET_SLACK,
+    RelaxedSolution,
+    _mixture_z,
+    scheduled_fraction,
+)
 
 DAMPING = 0.5
 SPAN_TOL = 1e-9
@@ -158,3 +168,77 @@ def rvi_one_dim(p: float, l: int, w: float) -> tuple[float, np.ndarray, int]:
             threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
             return float(0.5 * (diff.max() + diff.min())), value, threshold
     raise AssertionError("reference rvi did not converge")
+
+
+def block_spectrum(sys) -> np.ndarray:
+    """Eigenvalues of q from a dense eigensolve of each whole class block.
+
+    Nilpotent blocks (the critical class and never-served classes) are
+    certified by repeated squaring and contribute exact zeros.
+    """
+    d = sys.l - 1
+    parts = []
+    for k in range(len(sys.l_star)):
+        blk = sys.q[k * d:(k + 1) * d, k * d:(k + 1) * d]
+        if k == sys.m or sys.l_star[k] == sys.l + 1:
+            power = blk
+            exponent = 1
+            while exponent < 4 * d:
+                power = power @ power
+                exponent *= 2
+            if float(np.abs(power).max()) > NILPOTENT_TOL:
+                raise ConvergenceError(f"class {k}: expected nilpotent block")
+            parts.append(np.zeros(d, dtype=complex))
+        else:
+            parts.append(np.linalg.eigvals(blk))
+    return np.concatenate(parts)
+
+
+def solve_rp(cfg) -> RelaxedSolution:
+    """Relaxed optimum, calling optimal_thresholds for every candidate."""
+    validate_config(cfg)
+    alpha, l = cfg.alpha, cfg.l
+    table = whittle_index_table(cfg.p_vector(), l)
+    candidates = []
+    for v in np.sort(np.unique(table.ravel())):
+        if not candidates or v - candidates[-1] > TIE_TOL:
+            candidates.append(float(v))
+
+    for w_c in candidates:
+        pairs = tuple(optimal_thresholds(w_c, cls.p, l) for cls in cfg.classes)
+        a_hi = scheduled_fraction([p1 for p1, _ in pairs], cfg)
+        a_lo = scheduled_fraction([p2 for _, p2 in pairs], cfg)
+        if not (a_hi <= alpha + BUDGET_SLACK and alpha <= a_lo + BUDGET_SLACK):
+            continue
+        l_star = [p1 for p1, _ in pairs]
+        a_cur = a_hi
+        for k, (p1, p2) in enumerate(pairs):
+            if p1 == p2:
+                continue
+            delta = scheduled_fraction(l_star[:k] + [p2] + l_star[k + 1:], cfg) - a_cur
+            a_next = a_cur + delta
+            if a_next + BUDGET_SLACK >= alpha:
+                theta = 0.0 if delta <= 0.0 else (alpha - a_cur) / delta
+                theta = min(max(theta, 0.0), 1.0)
+                l_star[k] = p2
+                c_rp = 0.0
+                for j, cls in enumerate(cfg.classes):
+                    if j == k:
+                        c_rp += cls.gamma * (
+                            theta * age_cost(pairs[j][1], cls.p, l)
+                            + (1.0 - theta) * age_cost(pairs[j][0], cls.p, l)
+                        )
+                    else:
+                        c_rp += cls.gamma * age_cost(l_star[j], cls.p, l)
+                return RelaxedSolution(
+                    w_star=w_c,
+                    m=k,
+                    theta_star=float(theta),
+                    thresholds=pairs,
+                    z_star=OccupancyVector(z=_mixture_z(cfg, pairs, k, theta, l_star)),
+                    c_rp=float(c_rp),
+                    l_star=tuple(l_star),
+                )
+            l_star[k] = p2
+            a_cur = a_next
+    raise InfeasibleError(f"no index candidate brackets the budget alpha={alpha}")

@@ -129,6 +129,34 @@ def test_fluid_negative_steps_is_validation_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "RangeError"
 
 
+def assert_one_line_range_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "RangeError"
+
+
+def test_hitting_time_nan_epsilon_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["hitting-time", "--config", cfg_path, "--epsilon", "nan",
+                 "--cap", "50"]) == 2
+    assert_one_line_range_error(capsys)
+
+
+def test_hitting_time_negative_cap_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["hitting-time", "--config", cfg_path, "--epsilon", "0.5",
+                 "--cap", "-5"]) == 2
+    assert_one_line_range_error(capsys)
+
+
+def test_simulate_zero_replications_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["simulate", "--config", cfg_path, "--horizon", "10",
+                 "--replications", "0"]) == 2
+    assert_one_line_range_error(capsys)
+
+
 def test_spectral_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     assert main(["spectral", "--config", cfg_path]) == 0
@@ -232,6 +260,7 @@ def test_experiment_hitting_column_gated(tmp_path):
     dict(epsilon=-0.1),
     dict(initial="weird"),
     dict(out=None),
+    dict(epsilon=float("nan")),
 ])
 def test_experiment_validation(tmp_path, kw):
     kw = dict(kw)

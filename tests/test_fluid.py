@@ -1,12 +1,14 @@
 """Fluid map, linearized region dynamics, and spectral stability checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
-from aoisched.errors import DegenerateThresholdError
+from aoisched.errors import ConvergenceError, DegenerateThresholdError
 from aoisched.fluid import (
     assemble_linear,
     fluid_step,
@@ -127,6 +129,76 @@ def test_spectral_routes_agree():
     assert 0.0 < rep["rho"] < 1.0
     # one eigenvalue per reduced coordinate: two classes, L-1 each
     assert len(rep["eigenvalues"]) == 2 * (cfg.l - 1)
+
+
+@pytest.mark.parametrize("l, alpha, ps", [
+    (50, 0.9, (0.1, 0.5)),
+    (200, 0.6, (0.2, 0.95)),
+])
+def test_spectral_routes_agree_at_small_thresholds(l, alpha, ps):
+    # a dense eigensolve of the whole class block returns a ring of
+    # spurious eigenvalues around the defective served tail; the
+    # deflated blocks match the closed form
+    cfg = NetworkConfig(n=10, alpha=alpha, l=l,
+                        classes=tuple(ClassSpec(p=p, gamma=0.5) for p in ps))
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    rep = spectral_report(sysm)
+    assert rep["route_agreement"] < 1e-12
+    assert len(rep["eigenvalues"]) == 2 * (l - 1)
+    assert spectral_radius(sysm) == rep["rho"]
+
+
+def test_block_spectrum_matches_full_block_reference():
+    # Where the undeflated dense route is accurate, the deflated one gives
+    # the same radius. At a first served age of 2 the true radius is p
+    # and the spurious ring of the reference can sit a few 1e-9 away from
+    # it, within ROUTE_TOL of the closed form, so such draws are not
+    # compared.
+    compared = 0
+    draws = random_configs(20261018)
+    while compared < 150:
+        cfg, _ = next(draws)
+        try:
+            sysm = assemble_linear(cfg, solve_rp(cfg))
+        except DegenerateThresholdError:
+            continue
+        rep = spectral_report(sysm)
+        assert rep["route_agreement"] < 1e-12
+        assert len(rep["eigenvalues"]) == cfg.k * (cfg.l - 1)
+        ref_rho = float(np.abs(ref.block_spectrum(sysm)).max())
+        if abs(ref_rho - rep["rho_closed_form"]) <= 1e-10:
+            assert rep["rho"] == pytest.approx(ref_rho, rel=0, abs=1e-10)
+            compared += 1
+
+
+def mutate(q, cells):
+    q = q.copy()
+    for row, col, delta in cells:
+        q[row, col] += delta
+    return q
+
+
+@pytest.mark.parametrize("cells", [
+    # one tail entry of the non-critical class 0 (first served age 3)
+    [(20, 30, 1e-6)],
+    # a head row picking up a tail column
+    [(0, 30, 1e-6)],
+    # one tail entry of the critical class 1 (first served age 3)
+    [(49 + 20, 49 + 30, 1e-6)],
+    # tail mass kept in place rather than shifted: column sums unchanged,
+    # but the tail is no longer nilpotent
+    [(20, 20, 1e-6), (21, 20, -1e-6)],
+])
+def test_perturbed_tail_is_rejected(cells):
+    cfg = two_class_ref()
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    assert sysm.full_from == (3, 3) and sysm.m == 1
+    spectral_report(sysm)
+    broken = dataclasses.replace(sysm, q=mutate(sysm.q, cells))
+    with pytest.raises(ConvergenceError, match="served tail"):
+        spectral_report(broken)
+    with pytest.raises(ConvergenceError, match="served tail"):
+        spectral_radius(broken)
 
 
 def test_trajectory_contracts_at_spectral_rate():

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.index import optimal_thresholds
-from aoisched.relaxed import rp_fixed_point, scheduled_fraction, solve_rp
+from aoisched.relaxed import (
+    BUDGET_SLACK,
+    rp_fixed_point,
+    scheduled_fraction,
+    solve_rp,
+)
 
 
 def one_class(p, l, alpha, n=12):
@@ -128,3 +135,75 @@ def test_solve_rp_cost_decreases_with_budget():
              for a in (2 / 12, 4 / 12, 6 / 12, 8 / 12, 10 / 12)]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert costs[-1] < costs[0]
+
+
+def criterion5_config(rng, p_pool=None, max_l=30):
+    """A criterion-5-style instance: 1-4 classes, l in 3..max_l.
+
+    With p_pool, success probabilities come from that small set, which
+    makes cross-class index ties common.
+    """
+    while True:
+        k = int(rng.integers(1, 5))
+        sizes = rng.integers(1, 4, size=k) * int(rng.integers(1, 4))
+        n = int(sizes.sum())
+        if n >= 2:
+            break
+    l = int(rng.integers(3, max_l + 1))
+    m = int(rng.integers(1, n))
+    if p_pool is None:
+        ps = rng.uniform(0.1, 1.0, size=k)
+    else:
+        ps = rng.choice(p_pool, size=k)
+    classes = tuple(
+        ClassSpec(p=float(p), gamma=int(s) / n) for p, s in zip(ps, sizes)
+    )
+    return NetworkConfig(n=n, alpha=m / n, l=l, classes=classes)
+
+
+def test_solve_rp_matches_loop_reference():
+    # one sorted table and a binary search per class against the loop
+    # that calls optimal_thresholds for every candidate: identical fields
+    rng = np.random.default_rng(20260819)
+    draws = (
+        [criterion5_config(rng) for _ in range(200)]
+        + [criterion5_config(rng, p_pool=(0.25, 0.5, 1.0)) for _ in range(100)]
+        + [criterion5_config(rng, max_l=400) for _ in range(20)]
+    )
+    for cfg in draws:
+        fast, slow = solve_rp(cfg), ref.solve_rp(cfg)
+        assert fast.w_star == slow.w_star
+        assert fast.m == slow.m
+        assert fast.theta_star == slow.theta_star
+        assert fast.thresholds == slow.thresholds
+        assert all(type(n) is int for pair in fast.thresholds for n in pair)
+        assert fast.l_star == slow.l_star
+        assert fast.c_rp == slow.c_rp
+        assert np.array_equal(fast.z_star.z, slow.z_star.z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solve_rp_binds_budget(data):
+    # class m mixes A at l2 and at l1 with weights theta, 1 - theta, and
+    # every other class sits at its effective threshold
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    if n < 2:
+        sizes, n = sizes + [1], n + 1
+    m_slots = data.draw(st.integers(1, n - 1))
+    l = data.draw(st.integers(2, 40))
+    p = st.sampled_from((0.25, 0.5, 1.0)) | st.floats(0.01, 1.0)
+    ps = data.draw(st.lists(p, min_size=len(sizes), max_size=len(sizes)))
+    cfg = NetworkConfig(
+        n=n, alpha=m_slots / n, l=l,
+        classes=tuple(ClassSpec(p=pk, gamma=s / n) for pk, s in zip(ps, sizes)),
+    )
+    sol = solve_rp(cfg)
+    l1, l2 = sol.thresholds[sol.m]
+    at = list(sol.l_star)
+    at[sol.m] = l2
+    budget = sol.theta_star * scheduled_fraction(at, cfg)
+    at[sol.m] = l1
+    budget += (1.0 - sol.theta_star) * scheduled_fraction(at, cfg)
+    assert budget == pytest.approx(cfg.alpha, rel=0, abs=BUDGET_SLACK)
