@@ -8,10 +8,13 @@ print a one-line JSON error object to stderr.
 
 Experiment sweeps write three files into --out: rows.csv with one row
 per (n, policy, replication), summary.json with per-point means and
-standard errors, and plot.csv aggregated for external plotters. Rows
-are written in a fixed nested order and floats use repr round-trip
-formatting, so reruns with the same master seed produce byte-identical
-bodies.
+standard errors, and plot.csv aggregated for external plotters. Each
+(n, policy) point runs its replications as one batch of the simulator's
+count kernel, from one generator derived from the master seed and the
+point (see run_experiment); simulate and hitting-time follow the same
+rule for their single point. Rows are written in a fixed nested order
+and floats use repr round-trip formatting, so reruns with the same
+master seed produce byte-identical bodies.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from .sim import (
     POLICY_NAMES,
     PolicyKind,
     greedy_policy,
-    hitting_time,
+    hitting_times,
     make_initial_ages,
     rp_policy,
     simulate,
@@ -55,7 +57,6 @@ CSV_HEADER = "seed,n,policy,horizon,avg_age_per_user,c_rp,rel_gap,hitting_time"
 PLOT_HEADER = ("n,policy,replications,avg_age_mean,avg_age_stderr,"
                "rel_gap_mean,rel_gap_stderr,hitting_time_mean,hitting_time_stderr")
 INITIAL_KINDS = ("ones", "maxed", "star")
-POOL_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class ExperimentSpec:
     out: str
     epsilon: float | None = None
     initial: str = "ones"
+    cap: int = HITTING_CAP
 
 
 def _config_with_n(base: NetworkConfig, n: int) -> NetworkConfig:
@@ -113,6 +115,11 @@ def _initial_occupancy(kind: str, cfg: NetworkConfig, sol) -> np.ndarray:
     return z
 
 
+def _point_streams(seed: int, n: int, name: str) -> list[np.random.SeedSequence]:
+    """Simulation and hitting-time streams of the (n, policy) point."""
+    return np.random.SeedSequence([seed, n, POLICY_NAMES.index(name)]).spawn(2)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -137,11 +144,15 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run the sweep and write rows.csv, summary.json, and plot.csv.
 
     Row order is deterministic: n ascending across the sweep, then
-    policies in the given order, then replication index. Replications
-    within a point run on a bounded worker pool; each replication r
-    draws its generators from SeedSequence([seed, r]) so results do not
-    depend on completion order. hitting_time is filled only on whittle
-    rows and only when epsilon is set.
+    policies in the given order, then replication index. The
+    replications of one (n, policy) point run as one simulate batch and,
+    on whittle rows when epsilon is set, one hitting_times batch capped
+    at cap slots; hitting_time is empty on every other row. Stream rule:
+    SeedSequence([seed, n, POLICY_NAMES.index(policy)]) spawns two
+    children, the first seeding the simulate batch and the second the
+    hitting_times batch. A point's rows therefore do not depend on the
+    other points of the sweep, but row r depends on the replication
+    count, because all rows of a batch share one generator.
     """
     if spec.out is None:
         raise RangeError("experiment requires an output directory")
@@ -155,6 +166,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     _check_replications(spec.replications)
     if spec.epsilon is not None and not spec.epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {spec.epsilon}")
+    if spec.cap < 0:
+        raise RangeError(f"cap must be >= 0, got {spec.cap}")
     if spec.initial not in INITIAL_KINDS:
         raise RangeError(f"unknown initial state kind {spec.initial!r}")
     configs = [_config_with_n(spec.base, n) for n in spec.n_sweep]
@@ -167,26 +180,19 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         for name in spec.policies:
             policy = _policy_from_name(name, sol)
             want_hit = spec.epsilon is not None and name == "whittle"
-
-            def one(r: int):
-                root = np.random.SeedSequence([spec.seed, r])
-                sim_stream, hit_stream = root.spawn(2)
-                rec = simulate(cfg, policy, spec.horizon, seed=r,
-                               initial=init, stream=sim_stream)
-                hit = None
-                if want_hit:
-                    hit = hitting_time(cfg, init, spec.epsilon, seed=r,
-                                       sol=sol, stream=hit_stream)
-                return rec, hit
-
-            with ThreadPoolExecutor(max_workers=POOL_WORKERS) as pool:
-                results = list(pool.map(one, range(spec.replications)))
-            ages = [rec.per_user_avg_age for rec, _ in results]
-            hits = [hit for _, hit in results]
-            for r, (rec, hit) in enumerate(results):
-                gap = (rec.per_user_avg_age - sol.c_rp) / sol.c_rp
-                rows.append((r, n, name, spec.horizon, rec.per_user_avg_age,
-                             sol.c_rp, gap, hit))
+            sim_stream, hit_stream = _point_streams(spec.seed, n, name)
+            records = simulate(cfg, policy, spec.horizon, seed=spec.seed,
+                               initial=init, stream=sim_stream,
+                               replications=spec.replications)
+            hits = [None] * spec.replications
+            if want_hit:
+                hits = hitting_times(cfg, init, spec.epsilon, spec.seed,
+                                     spec.replications, cap=spec.cap, sol=sol,
+                                     stream=hit_stream)
+            ages = [rec.per_user_avg_age for rec in records]
+            for r, (age, hit) in enumerate(zip(ages, hits)):
+                gap = (age - sol.c_rp) / sol.c_rp
+                rows.append((r, n, name, spec.horizon, age, sol.c_rp, gap, hit))
             age_mean, age_se = _mean_stderr(ages)
             gap_mean, gap_se = _mean_stderr(
                 [(a - sol.c_rp) / sol.c_rp for a in ages]
@@ -224,6 +230,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "horizon": spec.horizon,
         "seed": spec.seed,
         "epsilon": spec.epsilon,
+        "cap": spec.cap,
         "initial": spec.initial,
         "points": points,
     }
@@ -344,16 +351,16 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
     init = _initial_ages(args.initial, cfg, sol)
-    names = args.policies.split(",")
     rows = []
-    for name in names:
-        policy = _policy_from_name(name.strip(), sol)
-        for r in range(args.replications):
-            stream = np.random.SeedSequence([args.seed, r])
-            rec = simulate(cfg, policy, args.horizon, seed=r, initial=init,
-                           stream=stream)
+    for name in (part.strip() for part in args.policies.split(",")):
+        policy = _policy_from_name(name, sol)
+        records = simulate(cfg, policy, args.horizon, seed=args.seed,
+                           initial=init,
+                           stream=_point_streams(args.seed, cfg.n, name)[0],
+                           replications=args.replications)
+        for r, rec in enumerate(records):
             gap = (rec.per_user_avg_age - sol.c_rp) / sol.c_rp
-            rows.append((r, cfg.n, name.strip(), args.horizon,
+            rows.append((r, cfg.n, name, args.horizon,
                          rec.per_user_avg_age, sol.c_rp, gap, None))
     _write_rows(rows, args.out)
     return 0
@@ -364,12 +371,11 @@ def _cmd_hitting_time(args) -> int:
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
     init = _initial_ages(args.initial, cfg, sol)
-    rows = []
-    for r in range(args.replications):
-        stream = np.random.SeedSequence([args.seed, r])
-        hit = hitting_time(cfg, init, args.epsilon, seed=r, cap=args.cap,
-                           sol=sol, stream=stream)
-        rows.append((r, cfg.n, "whittle", args.cap, None, sol.c_rp, None, hit))
+    hits = hitting_times(cfg, init, args.epsilon, args.seed, args.replications,
+                         cap=args.cap, sol=sol,
+                         stream=_point_streams(args.seed, cfg.n, "whittle")[1])
+    rows = [(r, cfg.n, "whittle", args.cap, None, sol.c_rp, None, hit)
+            for r, hit in enumerate(hits)]
     _write_rows(rows, args.out)
     return 0
 
@@ -466,6 +472,7 @@ def _cmd_experiment(args) -> int:
         out=args.out,
         epsilon=args.epsilon,
         initial=args.initial,
+        cap=args.cap,
     )
     paths = run_experiment(spec)
     _emit(paths, None)
@@ -523,6 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--initial", choices=INITIAL_KINDS, default="ones")
+    p.add_argument("--cap", type=int, default=HITTING_CAP,
+                   help="give up a hitting time after this many slots")
     return parser
 
 

@@ -54,6 +54,10 @@ class DegenerateThresholdError(ComputationError):
     """Threshold layout leaves no coordinate to eliminate in the linear region."""
 
 
+class FixedPointError(DegenerateThresholdError):
+    """The fluid map moves z_star, or its assembled affine form disagrees there."""
+
+
 class ConvergenceError(ComputationError):
     """An iterative solver failed to converge or two routes disagree."""
 

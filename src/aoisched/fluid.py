@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegenerateThresholdError,
+    FixedPointError,
     RangeError,
     ShapeError,
 )
@@ -160,6 +161,8 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     class block at a time. The per-class mass constraints then eliminate
     one coordinate per class (age l_star_k - 1 for k != m, age l_star_m
     for the critical class), yielding (q, c) on k*(l-1) coordinates.
+    Raises FixedPointError when fluid_step moves z_star or q z + c
+    disagrees with fluid_step at z_star (see _check_fixed_point).
     """
     k_cls, l, m = cfg.k, cfg.l, sol.m
     p_vec = cfg.p_vector()
@@ -209,7 +212,7 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
             c_vec[rows] += dropped * gamma[j]
         if k == m:
             c_vec[rows] += col0[keep[k]] * cfg.alpha
-    return LinearRegionSystem(
+    system = LinearRegionSystem(
         q=q,
         c=c_vec,
         reduction=reduction,
@@ -219,6 +222,30 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
         m=m,
         l=l,
     )
+    _check_fixed_point(system, cfg, sol)
+    return system
+
+
+def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
+                       sol: RelaxedSolution) -> None:
+    """Check on the numbers that the certificate is about the fluid map.
+
+    z_star must be a fixed point of fluid_step, and q z + c must equal
+    fluid_step there in reduced coordinates. Both fail when the tie
+    group at w_star spans several classes: fluid_step then shares the
+    residual budget over the whole group, while z_star and q randomize
+    the critical class alone.
+    """
+    z_star = sol.z_star.z
+    nxt = fluid_step(z_star, cfg).z
+    moved = float(np.abs(nxt - z_star).max())
+    affine = float(np.abs(sys.q @ reduce_occupancy(z_star, sys) + sys.c
+                          - reduce_occupancy(nxt, sys)).max())
+    if moved > AFFINE_TOL or affine > AFFINE_TOL:
+        raise FixedPointError(
+            f"fluid_step moves z_star by {moved:.3e} and the affine map "
+            f"differs from it by {affine:.3e} there (tolerance {AFFINE_TOL})"
+        )
 
 
 def _closed_form_radius(sys: LinearRegionSystem) -> float:
@@ -347,13 +374,8 @@ def spectral_radius(sys: LinearRegionSystem) -> float:
 def reduce_occupancy(z, sys: LinearRegionSystem) -> np.ndarray:
     """Drop the eliminated coordinate of each class."""
     zmat = _as_array(z)
-    cols = [
-        (k, age)
-        for k in range(zmat.shape[0])
-        for age in range(1, sys.l + 1)
-        if age != sys.reduction[k]
-    ]
-    return np.array([zmat[k, age - 1] for k, age in cols])
+    keep = np.arange(1, sys.l + 1) != np.array(sys.reduction)[:, None]
+    return zmat[keep]
 
 
 def fluid_trajectory(

@@ -3,7 +3,8 @@
 Three independent solvers:
 
 * stationary_by_balance: direct linear solve of the threshold chain's
-  balance equations, oracle for the closed-form stationary distribution.
+  balance equations, oracle for the closed-form stationary distribution
+  and for the randomized chain of relaxed.rp_coin.
 * rvi_one_dim: policy iteration on the single-user subsidized MDP over
   all schedule/idle rules on the l ages, oracle for the threshold
   structure and the average-cost formulas.
@@ -65,15 +66,25 @@ def _threshold_chain_kernel(n: int, p: float, l: int) -> np.ndarray:
     return kernel
 
 
-def stationary_by_balance(n: int, p: float, l: int) -> np.ndarray:
-    """Solve pi = pi P, sum(pi) = 1 for the threshold chain directly."""
+def stationary_by_balance(n: int, p: float, l: int, upper: int | None = None,
+                          coin: float = 1.0) -> np.ndarray:
+    """Solve pi = pi P, sum(pi) = 1 for the threshold chain directly.
+
+    With upper given, only ages >= upper are scheduled surely and the
+    ages in [n, upper) are scheduled with probability coin: the kernel is
+    coin times the threshold-n kernel plus 1 - coin times the
+    threshold-upper one.
+    """
     _check_p(p)
     _check_l(l)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise RangeError(f"threshold must be an integer, got {n!r}")
-    if not 1 <= n <= l + 1:
-        raise RangeError(f"threshold {n} outside 1..{l + 1}")
+    for t in (n,) if upper is None else (n, upper):
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+            raise RangeError(f"threshold must be an integer, got {t!r}")
+        if not 1 <= t <= l + 1:
+            raise RangeError(f"threshold {t} outside 1..{l + 1}")
     kernel = _threshold_chain_kernel(n, p, l)
+    if upper is not None:
+        kernel = coin * kernel + (1.0 - coin) * _threshold_chain_kernel(upper, p, l)
     system = kernel.T - np.eye(l)
     system[-1, :] = 1.0
     rhs = np.zeros(l)

@@ -24,6 +24,8 @@ from .index import (
 from .model import NetworkConfig, OccupancyVector, validate_config
 
 BUDGET_SLACK = 1e-12
+# Halvings of [0, 1] in rp_coin: past float resolution of the coin.
+COIN_BISECTIONS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +77,44 @@ def scheduled_fraction(thresholds, cfg: NetworkConfig) -> float:
             raise RangeError(f"threshold {int(n)} outside 1..{cfg.l + 1}")
     column = np.array([[int(n)] for n in thresholds])
     return float(_fractions(column, cfg)[0])
+
+
+def rp_coin(theta: float, l1: int, l2: int, p: float, l: int) -> float:
+    """Per-age coin on ages [l2, l1) that realizes the theta-mixture.
+
+    A user scheduled surely at ages >= l1, never below l2, and with
+    probability q at the ages in between has stationary scheduled
+    fraction 1 / (p T(q)), T(q) its mean time between resets. That rises
+    from A(l1) at q = 0 to A(l2) at q = 1, and the returned q* matches
+    theta A(l2) + (1 - theta) A(l1), by bisection. The ages [l2, l1) are
+    the ones whose index ties w_star, so every such policy is optimal at
+    subsidy w_star and its average age is linear in its scheduled
+    fraction: under q* it is theta C(l2) + (1 - theta) C(l1), which makes
+    the population's expected average age c_rp.
+    """
+    if theta <= 0.0:
+        return 0.0
+    if theta >= 1.0:
+        return 1.0
+    ages = np.arange(1, l + 1)
+
+    def fraction(q: float) -> float:
+        stay = 1.0 - p * np.where(ages >= l1, 1.0, np.where(ages >= l2, q, 0.0))
+        if stay[-1] == 1.0:
+            return 0.0
+        # Ages below l are passed once per cycle; age l repeats until reset.
+        reach = np.cumprod(np.concatenate(([1.0], stay[:-1])))
+        return 1.0 / (p * (reach[:-1].sum() + reach[-1] / (1.0 - stay[-1])))
+
+    target = theta * fraction(1.0) + (1.0 - theta) * fraction(0.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(COIN_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if fraction(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _mixture_z(cfg, thresholds, m, theta, l_star) -> np.ndarray:

@@ -1,14 +1,29 @@
 """Seeded Monte Carlo simulator of the n-user scheduling system.
 
-Users are laid out class-major: users of class 0 first, then class 1,
-and so on, matching the grouping of empirical_occupancy. Per slot a
-policy picks the scheduled set, each scheduled user succeeds with its
-class probability, and ages grow truncated at l.
+Every policy here ranks users only by their (class, age) cell, and the
+users of one cell are exchangeable. So the simulator does not follow
+users: its state is the number of users in each cell, flattened
+class-major to k*l counts (cell k*l + age - 1). That count vector is a
+Markov chain with the law of the per-user system for every statistic
+reported here. R replications are the rows of one (R, k*l) integer
+array, and one slot kernel advances all of them:
 
-Selection policies rank users by precomputed per-cell keys, so one slot
-costs a table lookup plus a partial sort. Replication r of a run draws
-its generator from SeedSequence([master_seed, r]), which keeps parallel
-replications order-independent.
+* whittle and greedy_max_age serve m users per row: cells in ascending
+  _whittle_rank / _greedy_rank order (index or age descending, then
+  class ascending), the budget left before each cell found by a cumsum
+  against m. Cells that share a rank, a class's (l-1, l) truncation tie,
+  are served in ascending age; every split of them has the same law,
+  because an unsuccessful user of either cell moves to age l.
+* uniform_random serves a multivariate hypergeometric sample of m users.
+* rp_threshold schedules users independently: Binomial(count, coin) of
+  each cell, with coin 1 at or above a class's upper threshold and the
+  relaxed.rp_coin probability on its randomized ages.
+
+Successes are Binomial(served, p_k); successful users reset to age 1
+and every other user ages by one, truncated at l. All rows of a batch
+draw from one Generator, so row r depends on the number of rows as well
+as on the seed. whittle_schedule and step are the per-user versions of
+the same rules.
 """
 from __future__ import annotations
 
@@ -20,7 +35,7 @@ import numpy as np
 from .errors import RangeError, ShapeError
 from .index import service_order
 from .model import NetworkConfig, OccupancyVector
-from .relaxed import RelaxedSolution
+from .relaxed import RelaxedSolution, rp_coin
 
 HITTING_CAP = 10 ** 6
 # Fraction of the horizon discarded by the warm-up-trimmed average.
@@ -35,14 +50,14 @@ class PolicyKind:
 
     kind is one of POLICY_NAMES. rp_threshold carries the relaxed
     solution's data: per-class (l1, l2) pairs (equal entries for
-    non-critical classes, set to their effective threshold), the critical
-    class, and theta_star. It schedules every user whose age passes its
-    own randomized threshold test, so the number of scheduled users
-    varies by design; the other policies schedule exactly m users.
+    non-critical classes, set to their effective threshold) and
+    theta_star, from which the per-age coin on [l2, l1) is derived. It
+    schedules every user that passes its own randomized threshold test,
+    so the number of scheduled users varies by design; the other
+    policies schedule exactly m users.
     """
 
     kind: str
-    w_star: float | None = None
     theta_star: float | None = None
     thresholds: tuple[tuple[int, int], ...] | None = None
 
@@ -76,7 +91,6 @@ def rp_policy(sol: RelaxedSolution) -> PolicyKind:
             pairs.append((sol.l_star[k], sol.l_star[k]))
     return PolicyKind(
         kind="rp_threshold",
-        w_star=sol.w_star,
         theta_star=sol.theta_star,
         thresholds=tuple(pairs),
     )
@@ -92,7 +106,6 @@ class SimRecord:
     per_user_avg_age_trimmed: float
     final_occupancy: OccupancyVector
     trace: np.ndarray | None = None
-    hitting_time: int | None = None
 
 
 def class_ids(cfg: NetworkConfig) -> np.ndarray:
@@ -198,112 +211,172 @@ def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
     return ages
 
 
-def _occupancy_counts(ages, cls, cfg: NetworkConfig) -> np.ndarray:
-    flat = cls * cfg.l + (ages - 1)
-    return np.bincount(flat, minlength=cfg.k * cfg.l).reshape(cfg.k, cfg.l)
+def _rp_coins(cfg: NetworkConfig, policy: PolicyKind) -> np.ndarray:
+    """Per-cell scheduling probability of rp_threshold, shape (k, l)."""
+    ages = np.arange(1, cfg.l + 1)
+    coins = np.zeros((cfg.k, cfg.l))
+    for k, ((l1, l2), p) in enumerate(zip(policy.thresholds, cfg.p_vector())):
+        coins[k, ages >= l1] = 1.0
+        if l2 < l1:
+            coins[k, (ages >= l2) & (ages < l1)] = rp_coin(
+                policy.theta_star, l1, l2, float(p), cfg.l)
+    return coins
+
+
+def _server(cfg: NetworkConfig, policy: PolicyKind):
+    """The policy's rule on counts: serve(counts, rng) -> served per cell."""
+    m = cfg.m
+    if policy.kind in ("whittle", "greedy_max_age"):
+        rank = _whittle_rank(cfg) if policy.kind == "whittle" else _greedy_rank(cfg)
+        order = np.argsort(rank.ravel(), kind="stable")
+
+        def serve(counts, rng):
+            ranked = counts[:, order]
+            # Budget left before each cell, in service order.
+            left = m - np.cumsum(ranked, axis=1) + ranked
+            served = np.empty_like(counts)
+            served[:, order] = np.minimum(np.maximum(left, 0), ranked)
+            return served
+    elif policy.kind == "uniform_random":
+        def serve(counts, rng):
+            return np.array([rng.multivariate_hypergeometric(row, m)
+                             for row in counts])
+    else:
+        coins = _rp_coins(cfg, policy).ravel()
+
+        def serve(counts, rng):
+            return rng.binomial(counts, coins)
+    return serve
+
+
+def _advance(counts, successes, l: int) -> np.ndarray:
+    """Next counts: successes reset to age 1, every other user ages.
+
+    Linear in successes, so real-valued expected successes give the
+    expected next counts.
+    """
+    rest = (counts - successes).reshape(len(counts), -1, l)
+    nxt = np.empty_like(rest)
+    nxt[:, :, 1:] = rest[:, :, :-1]
+    nxt[:, :, -1] += rest[:, :, -1]
+    nxt[:, :, 0] = successes.reshape(rest.shape).sum(axis=2)
+    return nxt.reshape(counts.shape)
+
+
+def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
+    """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
+
+    Every row starts from the per-cell counts of make_initial_ages(initial).
+    Callers must not modify a yielded array.
+    """
+    serve = _server(cfg, policy)
+    p_cells = np.repeat(cfg.p_vector(), cfg.l)
+    cells = class_ids(cfg) * cfg.l + make_initial_ages(initial, cfg) - 1
+    counts = np.tile(np.bincount(cells, minlength=cfg.k * cfg.l), (rows, 1))
+    while True:
+        yield counts
+        served = serve(counts, rng)
+        counts = _advance(counts, rng.binomial(served, p_cells), cfg.l)
+
+
+def _rng(seed: int, stream):
+    return np.random.default_rng(
+        stream if stream is not None else np.random.SeedSequence(seed)
+    )
+
+
+def _check_rows(replications: int) -> None:
+    if replications < 1:
+        raise RangeError(f"replications must be >= 1, got {replications}")
 
 
 def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
              initial, record_trace: bool = False, stream=None,
-             tie_break: str = "deterministic") -> SimRecord:
-    """Run one seeded replication and return its averages.
+             replications: int | None = None):
+    """Run seeded replications and return their averages.
 
-    The per-user average age samples the state at slots 0..horizon-1
-    (the initial state is the first sample). The trimmed variant discards
-    the first WARMUP_FRACTION of the horizon. Identical arguments give a
-    bit-identical record; stream may carry a pre-derived SeedSequence for
-    replication fan-out, otherwise the integer seed is used alone.
+    With replications None one replication runs and its SimRecord is
+    returned; with an integer R the R replications run as one batch and
+    a list of R records is returned, row r's record at index r. The
+    per-user average age samples the state at slots 0..horizon-1 (the
+    initial state is the first sample); the trimmed variant discards the
+    first WARMUP_FRACTION of the horizon. final_occupancy is the state
+    after horizon slots. Identical arguments give bit-identical records;
+    stream may carry a pre-derived SeedSequence, otherwise the integer
+    seed is used alone.
     """
     if horizon < 1:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(
-        stream if stream is not None else np.random.SeedSequence(seed)
-    )
-    cls = class_ids(cfg)
-    p_user = cfg.p_vector()[cls]
-    ages = make_initial_ages(initial, cfg).copy()
-    n, m, l = cfg.n, cfg.m, cfg.l
-
-    if policy.kind == "whittle":
-        rank = _whittle_rank(cfg)
-    elif policy.kind == "greedy_max_age":
-        rank = _greedy_rank(cfg)
-    elif policy.kind == "rp_threshold":
-        hi = np.array([pair[0] for pair in policy.thresholds])[cls]
-        lo = np.array([pair[1] for pair in policy.thresholds])[cls]
-        theta = policy.theta_star
-
-    random_ties = tie_break == "random"
+    rows = 1 if replications is None else replications
+    _check_rows(rows)
+    n, k, l = cfg.n, cfg.k, cfg.l
+    cell_ages = np.tile(np.arange(1, l + 1), k)
     skip = int(horizon * WARMUP_FRACTION)
-    total = 0
-    total_tail = 0
-    trace = np.empty((horizon, cfg.k, cfg.l)) if record_trace else None
-
-    for t in range(horizon):
-        total += int(ages.sum())
-        if t >= skip:
-            total_tail += int(ages.sum())
-        if record_trace:
-            trace[t] = _occupancy_counts(ages, cls, cfg) / n
-        if policy.kind in ("whittle", "greedy_max_age"):
-            sched = _top_m(rank, ages, cls, m, n, rng if random_ties else None)
-        elif policy.kind == "uniform_random":
-            sched = rng.choice(n, size=m, replace=False)
+    head = np.zeros(rows, dtype=np.int64)
+    tail = np.zeros(rows, dtype=np.int64)
+    trace = np.empty((horizon, rows, k * l), dtype=np.int64) if record_trace else None
+    for t, counts in enumerate(_paths(cfg, policy, initial, rows,
+                                      _rng(seed, stream))):
+        if t == horizon:
+            break
+        if t < skip:
+            head += counts @ cell_ages
         else:
-            coins = rng.random(n)
-            mask = (ages >= hi) | ((ages >= lo) & (coins < theta))
-            sched = np.flatnonzero(mask)
-        ages = step(ages, sched, p_user, l, rng)
-
-    denom_tail = max(horizon - skip, 1)
-    final_counts = _occupancy_counts(ages, cls, cfg)
-    return SimRecord(
-        seed=seed,
-        horizon=horizon,
-        per_user_avg_age=total / (horizon * n),
-        per_user_avg_age_trimmed=total_tail / (denom_tail * n)
-        if horizon > skip
-        else total / (horizon * n),
-        final_occupancy=OccupancyVector(
-            z=final_counts / n, counts=final_counts, n=n
-        ),
-        trace=trace,
-    )
+            tail += counts @ cell_ages
+        if record_trace:
+            trace[t] = counts
+    records = []
+    for r in range(rows):
+        final = counts[r].reshape(k, l)
+        records.append(SimRecord(
+            seed=seed,
+            horizon=horizon,
+            per_user_avg_age=int(head[r] + tail[r]) / (horizon * n),
+            per_user_avg_age_trimmed=int(tail[r]) / ((horizon - skip) * n),
+            final_occupancy=OccupancyVector(z=final / n, counts=final, n=n),
+            trace=trace[:, r].reshape(horizon, k, l) / n if record_trace else None,
+        ))
+    return records[0] if replications is None else records
 
 
-def hitting_time(cfg: NetworkConfig, initial, epsilon: float, seed: int,
-                 cap: int = HITTING_CAP, sol: RelaxedSolution | None = None,
-                 stream=None) -> int | None:
-    """First slot at which the Whittle occupancy is within epsilon of z_star.
+def hitting_times(cfg: NetworkConfig, initial, epsilon: float, seed: int,
+                  replications: int, cap: int = HITTING_CAP,
+                  sol: RelaxedSolution | None = None,
+                  stream=None) -> list[int | None]:
+    """First slot at which each Whittle replication is within epsilon of z_star.
 
     Euclidean norm over all (class, age) cells; the initial state counts
-    as slot 0. Returns None when cap slots pass without entering the
-    ball.
+    as slot 0. The replications run as one batch; a row that has not
+    entered the ball after cap slots reads None.
     """
     if not epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {epsilon}")
     if cap < 0:
         raise RangeError(f"cap must be >= 0, got {cap}")
+    _check_rows(replications)
     if sol is None:
         from .relaxed import solve_rp
 
         sol = solve_rp(cfg)
-    rng = np.random.default_rng(
-        stream if stream is not None else np.random.SeedSequence(seed)
-    )
-    cls = class_ids(cfg)
-    p_user = cfg.p_vector()[cls]
-    rank = _whittle_rank(cfg)
     z_star = sol.z_star.z.ravel()
-    ages = make_initial_ages(initial, cfg).copy()
-    n, m, l = cfg.n, cfg.m, cfg.l
-    for t in range(cap + 1):
-        occ = np.bincount(cls * l + (ages - 1), minlength=cfg.k * l) / n
-        if np.linalg.norm(occ - z_star) <= epsilon:
-            return t
-        sched = _top_m(rank, ages, cls, m, n)
-        ages = step(ages, sched, p_user, l, rng)
-    return None
+    hits: list[int | None] = [None] * replications
+    waiting = np.ones(replications, dtype=bool)
+    for t, counts in enumerate(_paths(cfg, whittle_policy(), initial,
+                                      replications, _rng(seed, stream))):
+        inside = np.linalg.norm(counts / cfg.n - z_star, axis=1) <= epsilon
+        for r in np.flatnonzero(inside & waiting):
+            hits[r] = t
+        waiting &= ~inside
+        if t == cap or not waiting.any():
+            return hits
+
+
+def hitting_time(cfg: NetworkConfig, initial, epsilon: float, seed: int,
+                 cap: int = HITTING_CAP, sol: RelaxedSolution | None = None,
+                 stream=None) -> int | None:
+    """hitting_times of a single replication: an int, or None past cap."""
+    return hitting_times(cfg, initial, epsilon, seed, 1, cap=cap, sol=sol,
+                         stream=stream)[0]
 
 
 def fluid_deviation(cfg: NetworkConfig, horizon: int, seed: int, initial,
@@ -312,28 +385,19 @@ def fluid_deviation(cfg: NetworkConfig, horizon: int, seed: int, initial,
 
     Runs the Whittle chain and the deterministic fluid iteration from the
     same initial occupancy (the empirical one after rounding) and returns
-    the largest Euclidean gap over slots 0..horizon-1.
+    the largest Euclidean gap over slots 0..horizon-1. sol is not needed
+    and is accepted for existing callers.
     """
     from .fluid import fluid_step
 
-    if sol is None:
-        from .relaxed import solve_rp
-
-        sol = solve_rp(cfg)
-    rng = np.random.default_rng(
-        stream if stream is not None else np.random.SeedSequence(seed)
-    )
-    cls = class_ids(cfg)
-    p_user = cfg.p_vector()[cls]
-    rank = _whittle_rank(cfg)
-    ages = make_initial_ages(initial, cfg).copy()
-    n, m, l = cfg.n, cfg.m, cfg.l
-    z_fluid = _occupancy_counts(ages, cls, cfg) / n
     worst = 0.0
-    for t in range(horizon):
-        occ = _occupancy_counts(ages, cls, cfg) / n
+    z_fluid = None
+    for t, counts in enumerate(_paths(cfg, whittle_policy(), initial, 1,
+                                      _rng(seed, stream))):
+        if t == horizon:
+            return worst
+        occ = counts[0] / cfg.n
+        if z_fluid is None:
+            z_fluid = occ
         worst = max(worst, float(np.linalg.norm(occ - z_fluid)))
-        sched = _top_m(rank, ages, cls, m, n)
-        ages = step(ages, sched, p_user, l, rng)
-        z_fluid = fluid_step(z_fluid, cfg).z
-    return worst
+        z_fluid = fluid_step(z_fluid.reshape(cfg.k, cfg.l), cfg).z.ravel()

@@ -4,9 +4,10 @@ Each function here is the plain implementation the package once shipped:
 a Python loop over tie groups for the fluid map and the cell ranks, dense
 (k*l) x (k*l) flow matrices for the linear region, a dense eigensolve of
 every undeflated class block, damped relative value iteration for the
-single-user MDP, and a relaxed solver that recomputes the thresholds of
-each candidate subsidy from scratch. Tests compare the package against
-them; nothing in src/ imports this module.
+single-user MDP, a relaxed solver that recomputes the thresholds of
+each candidate subsidy from scratch, and a simulator that follows every
+user. Tests compare the package against them; nothing in src/ imports
+this module.
 """
 from __future__ import annotations
 
@@ -20,7 +21,17 @@ from aoisched.relaxed import (
     BUDGET_SLACK,
     RelaxedSolution,
     _mixture_z,
+    rp_coin,
     scheduled_fraction,
+)
+from aoisched.sim import (
+    WARMUP_FRACTION,
+    _greedy_rank,
+    _top_m,
+    _whittle_rank,
+    class_ids,
+    make_initial_ages,
+    step,
 )
 
 DAMPING = 0.5
@@ -242,3 +253,45 @@ def solve_rp(cfg) -> RelaxedSolution:
             l_star[k] = p2
             a_cur = a_next
     raise InfeasibleError(f"no index candidate brackets the budget alpha={alpha}")
+
+
+def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, float]:
+    """Per-user simulation of one replication: (average age, trimmed).
+
+    Every user is tracked. whittle and greedy_max_age schedule the m
+    users with the smallest (rank, user id) keys, uniform_random draws m
+    users without replacement, and rp_threshold flips one coin per user:
+    scheduled at or above its class's l1, with probability rp_coin on
+    [l2, l1), never below. The averages are taken as in sim.simulate.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cls = class_ids(cfg)
+    p_user = cfg.p_vector()[cls]
+    ages = make_initial_ages(initial, cfg).copy()
+    n, m, l = cfg.n, cfg.m, cfg.l
+    if policy.kind == "whittle":
+        rank = _whittle_rank(cfg)
+    elif policy.kind == "greedy_max_age":
+        rank = _greedy_rank(cfg)
+    elif policy.kind == "rp_threshold":
+        hi = np.array([pair[0] for pair in policy.thresholds])[cls]
+        lo = np.array([pair[1] for pair in policy.thresholds])[cls]
+        coin = np.array([
+            rp_coin(policy.theta_star, l1, l2, float(p), l) if l2 < l1 else 0.0
+            for (l1, l2), p in zip(policy.thresholds, cfg.p_vector())
+        ])[cls]
+    skip = int(horizon * WARMUP_FRACTION)
+    total = total_tail = 0
+    for t in range(horizon):
+        total += int(ages.sum())
+        if t >= skip:
+            total_tail += int(ages.sum())
+        if policy.kind in ("whittle", "greedy_max_age"):
+            sched = _top_m(rank, ages, cls, m, n)
+        elif policy.kind == "uniform_random":
+            sched = rng.choice(n, size=m, replace=False)
+        else:
+            coins = rng.random(n)
+            sched = np.flatnonzero((ages >= hi) | ((ages >= lo) & (coins < coin)))
+        ages = step(ages, sched, p_user, l, rng)
+    return total / (horizon * n), total_tail / ((horizon - skip) * n)

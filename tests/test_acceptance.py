@@ -3,7 +3,7 @@
 Every deliverable property of the package is checked here at its stated
 tolerance, one test per criterion. The conftest hook prints a PASS/FAIL
 line per criterion in the terminal summary. Runtime for the whole module
-is a few minutes; the expensive tests are the Monte Carlo ones.
+is about a minute; the expensive tests are the Monte Carlo ones.
 """
 
 import functools
@@ -13,7 +13,7 @@ import pytest
 
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.cli import ExperimentSpec, run_experiment
-from aoisched.errors import DegenerateThresholdError
+from aoisched.errors import DegenerateThresholdError, FixedPointError
 from aoisched.fluid import (
     assemble_linear,
     fluid_step,
@@ -163,13 +163,18 @@ def test_spectral_certificate():
         )
         return NetworkConfig(n=n, alpha=m / n, l=l, classes=classes)
 
-    accepted = single_class = 0
+    accepted = single_class = not_fixed = 0
     worst_rho = worst_agree = single_rho = 0.0
     while accepted < 200:
         cfg = draw()
         sol = solve_rp(cfg)
         try:
             sysm = assemble_linear(cfg, sol)
+        except FixedPointError:
+            # a tie group across classes at w_star: z* is not a fixed
+            # point of the fluid map, so there is nothing to certify
+            not_fixed += 1
+            continue
         except DegenerateThresholdError:
             # a class pinned at threshold 1 has no linear region; redraw
             continue
@@ -185,7 +190,8 @@ def test_spectral_certificate():
     assert worst_agree < 1e-8
     assert single_rho <= 1e-10
     return (f"200 instances, max rho {worst_rho:.6f}, "
-            f"agree {worst_agree:.1e}, K=1 rho {single_rho:.1e}")
+            f"agree {worst_agree:.1e}, K=1 rho {single_rho:.1e}, "
+            f"{not_fixed} redrawn as z* not a fluid fixed point")
 
 
 @criterion(6, "fluid map fixes z* and contracts at the spectral rate")
@@ -228,8 +234,8 @@ def test_toy_optimality_sandwich():
     sol = solve_rp(cfg)
     joint = joint_mdp_optimal(cfg)
     ones = np.ones(cfg.n, dtype=int)
-    avgs = [simulate(cfg, whittle_policy(), 200_000, seed, ones).per_user_avg_age
-            for seed in range(10)]
+    avgs = [rec.per_user_avg_age for rec in
+            simulate(cfg, whittle_policy(), 200_000, 0, ones, replications=10)]
     mean = float(np.mean(avgs))
     se = float(np.std(avgs, ddof=1) / np.sqrt(len(avgs)))
     assert sol.c_rp <= joint + 1e-9
@@ -247,10 +253,9 @@ def test_gap_shrinks_with_population():
         cfg = shrinking_gap_config(n)
         sol = solve_rp(cfg)
         ones = np.ones(cfg.n, dtype=int)
-        gaps = []
-        for seed in range(10):
-            rec = simulate(cfg, whittle_policy(), 200_000, seed, ones)
-            gaps.append((rec.per_user_avg_age - sol.c_rp) / sol.c_rp)
+        gaps = [(rec.per_user_avg_age - sol.c_rp) / sol.c_rp for rec in
+                simulate(cfg, whittle_policy(), 200_000, 0, ones,
+                         replications=10)]
         means.append(float(np.mean(gaps)))
         errs.append(float(np.std(gaps, ddof=1) / np.sqrt(len(gaps))))
     for mean in means:

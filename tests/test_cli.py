@@ -200,6 +200,43 @@ def test_degenerate_spectrum_is_computation_error(tmp_path, capsys):
     assert stderr_error(capsys)["error"] == "DegenerateThresholdError"
 
 
+def test_unfixed_z_star_spectrum_is_computation_error(tmp_path, capsys):
+    doc = {"n": 4, "alpha": 0.75, "l": 34,
+           "classes": [{"p": 0.58, "gamma": 0.5}, {"p": 0.88, "gamma": 0.5}]}
+    assert main(["spectral", "--config", write_config(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "FixedPointError"
+
+
+def test_experiment_negative_cap_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", "12",
+                 "--out", str(tmp_path / "x"), "--epsilon", "0.5",
+                 "--cap", "-1"]) == 2
+    assert_one_line_range_error(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_hitting_column_matches_hitting_time(tmp_path, capsys):
+    # same seed, point and replication count: the experiment's whittle
+    # hitting column and hitting-time's rows come from the same stream
+    cfg_path = write_config(tmp_path, CHEAP)
+    common = ["--config", cfg_path, "--epsilon", "0.3", "--seed", "4",
+              "--replications", "3", "--cap", "40"]
+    assert main(["hitting-time"] + common) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert main(["experiment", "--n-sweep", "12", "--horizon", "20",
+                 "--out", str(tmp_path / "e")] + common) == 0
+    capsys.readouterr()
+    swept = (tmp_path / "e" / "rows.csv").read_text().strip().splitlines()[1:]
+    hits = [line.split(",")[7] for line in rows]
+    assert hits == [line.split(",")[7] for line in swept]
+    assert all(hit == "" or 0 <= int(hit) <= 40 for hit in hits)
+    summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+    assert summary["cap"] == 40
+
+
 def test_negative_seed_rejected_by_parser(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     with pytest.raises(SystemExit) as exc:
@@ -261,6 +298,7 @@ def test_experiment_hitting_column_gated(tmp_path):
     dict(initial="weird"),
     dict(out=None),
     dict(epsilon=float("nan")),
+    dict(cap=-1),
 ])
 def test_experiment_validation(tmp_path, kw):
     kw = dict(kw)

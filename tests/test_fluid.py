@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
-from aoisched.errors import ConvergenceError, DegenerateThresholdError
+from aoisched.errors import (
+    ConvergenceError,
+    DegenerateThresholdError,
+    FixedPointError,
+)
 from aoisched.fluid import (
     assemble_linear,
     fluid_step,
@@ -238,6 +242,23 @@ def test_degenerate_threshold_rejected():
     sol = solve_rp(cfg)
     with pytest.raises(DegenerateThresholdError):
         assemble_linear(cfg, sol)
+
+
+def test_cross_class_tie_at_w_star_is_not_certified():
+    # w_star ~ 1 ties age 1 of both classes; fluid_step shares the
+    # residual budget over the tie group and moves z_star by 0.106, so
+    # the region map (critical class alone randomizes) is not the fluid
+    # map there and no spectral radius may be reported
+    cfg = NetworkConfig(
+        n=4, alpha=0.75, l=34,
+        classes=(ClassSpec(p=0.58, gamma=0.5), ClassSpec(p=0.88, gamma=0.5)),
+    )
+    sol = solve_rp(cfg)
+    moved = np.abs(fluid_step(sol.z_star, cfg).z - sol.z_star.z).max()
+    assert moved == pytest.approx(0.106, abs=1e-3)
+    with pytest.raises(FixedPointError):
+        assemble_linear(cfg, sol)
+    assert issubclass(FixedPointError, DegenerateThresholdError)
 
 
 def test_fast_paths_match_reference():

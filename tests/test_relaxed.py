@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
-from aoisched.index import optimal_thresholds
+from aoisched.index import age_cost, optimal_thresholds
+from aoisched.oracle import stationary_by_balance
 from aoisched.relaxed import (
     BUDGET_SLACK,
+    rp_coin,
     rp_fixed_point,
     scheduled_fraction,
     solve_rp,
@@ -207,3 +209,46 @@ def test_solve_rp_binds_budget(data):
     at[sol.m] = l1
     budget += (1.0 - sol.theta_star) * scheduled_fraction(at, cfg)
     assert budget == pytest.approx(cfg.alpha, rel=0, abs=BUDGET_SLACK)
+
+
+def test_rp_coin_realizes_the_relaxed_optimum():
+    # the balance-equation law of the randomized chain has the theta
+    # mixture's scheduled fraction and average age, so the population
+    # average is c_rp; includes a critical class randomizing over the
+    # (l-1, l) truncation tie (l1 = l+1)
+    rng = np.random.default_rng(31)
+    cases = [NetworkConfig(n=20, alpha=0.25, l=8, classes=(
+        ClassSpec(p=0.2, gamma=0.5), ClassSpec(p=0.7, gamma=0.5)))]
+    while len(cases) < 150:
+        k = int(rng.integers(1, 4))
+        n = 6 * k
+        cases.append(NetworkConfig(
+            n=n, alpha=int(rng.integers(1, n)) / n, l=int(rng.integers(3, 40)),
+            classes=tuple(ClassSpec(p=float(rng.uniform(0.05, 1.0)), gamma=1.0 / k)
+                          for _ in range(k))))
+    randomized = tie_top = 0
+    for cfg in cases:
+        sol = solve_rp(cfg)
+        l1, l2 = sol.thresholds[sol.m]
+        p, l, th = cfg.classes[sol.m].p, cfg.l, sol.theta_star
+        q = rp_coin(th, l1, l2, p, l)
+        assert 0.0 <= q <= 1.0
+        pi = stationary_by_balance(l2, p, l, upper=l1, coin=q)
+        ages = np.arange(1, l + 1)
+        sched = np.where(ages >= l1, 1.0, np.where(ages >= l2, q, 0.0))
+        def fraction(t):  # a threshold-t user's scheduled fraction
+            return 1.0 / (t * p + 1.0 - p) if t <= l else 0.0
+
+        target = th * fraction(l2) + (1.0 - th) * fraction(l1)
+        assert float(pi @ sched) == pytest.approx(target, rel=0, abs=1e-12)
+        mean_age = float(pi @ ages)
+        assert mean_age == pytest.approx(
+            th * age_cost(l2, p, l) + (1.0 - th) * age_cost(l1, p, l),
+            rel=0, abs=1e-10)
+        population = sum(
+            c.gamma * (mean_age if k == sol.m else age_cost(sol.l_star[k], c.p, l))
+            for k, c in enumerate(cfg.classes))
+        assert population == pytest.approx(sol.c_rp, rel=0, abs=1e-10)
+        randomized += 0.0 < th < 1.0
+        tie_top += l1 == l + 1
+    assert randomized >= 100 and tie_top >= 1
