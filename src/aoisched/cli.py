@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -479,7 +480,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="aoisched",
         description="Age-minimizing scheduling: relaxed optimum, fluid "

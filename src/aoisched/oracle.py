@@ -9,7 +9,19 @@ Three independent solvers:
   all schedule/idle rules on the l ages, oracle for the threshold
   structure and the average-cost formulas.
 * joint_mdp_optimal: exact relative value iteration on the joint n-user
-  MDP with the true per-slot budget, tractable only at toy sizes.
+  MDP with the true per-slot budget, solved on its exchangeable quotient.
+  JOINT_STATE_CAP still bounds the l**n user-age vectors, so it runs only
+  at toy sizes.
+
+Users of one class are exchangeable: permuting them commutes with the
+joint MDP's Bellman operator, so from v = 0 every iterate takes one value
+on all user-age vectors with the same per-class age counts. The joint
+solver therefore iterates on the count vectors (the occupancy view of
+Weber & Weiss, 1990, which sim's count kernel uses as well), and its
+span, stopping sweep and average cost are those of the iteration over
+all l**n user-age vectors, up to floating-point summation order. The cap
+stays on l**n for now so that every input behaves as before; a cap on
+the quotient's own size would admit larger n.
 
 The joint solver runs damped relative value iteration, that is value
 iteration on the aperiodicity-transformed kernel (1 - tau)*I + tau*P with
@@ -22,6 +34,7 @@ rvi_one_dim still reports its relative values on the transformed scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +49,9 @@ DAMPING = 0.5
 # Greedy-policy tie tolerance: scheduling wins exact ties.
 GREEDY_TIE_TOL = 1e-12
 JOINT_STATE_CAP = 2 * 10 ** 5
+# joint_mdp_optimal builds its transitions this many quotient states at a
+# time, which bounds its work arrays; the result does not depend on it.
+STATE_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,58 +172,164 @@ def rvi_one_dim(p: float, l: int, w: float) -> RviResult:
     raise ConvergenceError(f"policy iteration did not settle in {MAX_ITERS} steps")
 
 
+def _quotient_states(cfg: NetworkConfig) -> np.ndarray:
+    """Every state of the quotient, one row of n sorted user cells each.
+
+    The cell of a class-k user at age a is k*l + a - 1. A row lists each
+    class's users by ascending age, classes in order, so it is the
+    per-class count vector written out user by user: n entries instead of
+    k*l. Rows are in lexicographic order, so row 0 has every user at age 1.
+    """
+    l = cfg.l
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k, size in enumerate(cfg.class_sizes()):
+        block = np.array(list(itertools.combinations_with_replacement(
+            range(k * l, (k + 1) * l), size)), dtype=np.int64)
+        rows = np.hstack([np.repeat(rows, len(block), axis=0),
+                          np.tile(block, (len(rows), 1))])
+    return rows
+
+
+def _splits(bounds: np.ndarray, total: np.ndarray | None = None):
+    """Every integer vector 0 <= x <= bounds[i], row by row.
+
+    Returns (owner, x): x[e] is a vector for row owner[e]. Rows come out
+    in order, so each row's vectors are contiguous. With total given, only
+    the vectors of row i that sum to total[i] are kept.
+    """
+    owner = np.arange(len(bounds))
+    x = np.zeros(bounds.shape, dtype=np.int64)
+    left = total
+    for j in range(bounds.shape[1]):
+        hi = bounds[owner, j] if total is None else np.minimum(bounds[owner, j], left)
+        reps = hi + 1
+        keep = np.repeat(np.arange(len(owner)), reps)
+        owner, x = owner[keep], x[keep]
+        x[:, j] = np.arange(len(keep)) - np.repeat(np.cumsum(reps) - reps, reps)
+        if total is not None:
+            left = left[keep] - x[:, j]
+    if total is not None:
+        owner, x = owner[left == 0], x[left == 0]
+    return owner, x
+
+
+def _lex_keys(table: np.ndarray):
+    """Search keys of table, whose rows are distinct and sorted.
+
+    Column j's key of a row is the rank of its first j entries among the
+    table's distinct prefixes, times the column width, plus its entry j;
+    each column's keys are sorted and none exceeds len(table) * width.
+    """
+    width = int(table.max()) + 1
+    rank = np.zeros(len(table), dtype=np.int64)
+    keys = []
+    for col in table.T:
+        key = rank * width + col
+        rank = np.cumsum(np.diff(key, prepend=-1) > 0) - 1
+        keys.append((key, rank))
+    return width, keys
+
+
+def _lex_find(lookup, rows: np.ndarray) -> np.ndarray:
+    """Table index of each row; every row must occur in the table."""
+    width, keys = lookup
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for (key, table_rank), col in zip(keys, rows.T):
+        rank = table_rank[np.searchsorted(key, rank * width + col)]
+    return rank
+
+
+def _transitions(cfg: NetworkConfig, users: np.ndarray):
+    """Every action and every outcome of the quotient MDP.
+
+    Returns (state_of, action_of, prob, nxt): action a is taken in state
+    state_of[a], and entry e is an outcome of action action_of[e] that
+    leads to state nxt[e] with probability prob[e] > 0. Each state's
+    actions, and each action's outcomes, are contiguous. Entries are
+    built STATE_BLOCK states at a time, which bounds the work arrays.
+    """
+    l, m, n = cfg.l, cfg.m, cfg.n
+    # Occupied cells, left-aligned: user u sits in slot run[u] of its row,
+    # as the offset[u]-th user of that cell.
+    rows = np.arange(len(users))[:, None]
+    new = np.ones(users.shape, dtype=bool)
+    new[:, 1:] = users[:, 1:] != users[:, :-1]
+    run = np.cumsum(new, axis=1) - 1
+    offset = np.arange(n) - np.maximum.accumulate(np.where(new, np.arange(n), 0), axis=1)
+    counts = np.zeros(users.shape, dtype=np.int64)
+    np.add.at(counts, (rows, run), 1)
+    p_run = np.ones(users.shape)
+    p_run[rows, run] = cfg.p_vector()[users // l]
+    binom = np.array([[math.comb(s, r) for r in range(m + 1)] for s in range(m + 1)],
+                     dtype=float)
+    lookup = _lex_keys(users)
+
+    parts = []
+    n_actions = 0
+    for lo in range(0, len(users), STATE_BLOCK):
+        block = counts[lo:lo + STATE_BLOCK]
+        state_of, served = _splits(block, np.full(len(block), m))
+        action_of, succ = _splits(served)
+        origin = state_of[action_of] + lo
+        prob = np.ones(len(succ))
+        for j in range(n):
+            s, r, p = served[action_of, j], succ[:, j], p_run[origin, j]
+            prob *= binom[s, r] * p ** r * (1.0 - p) ** (s - r)
+        live = prob > 0.0
+        action_of, succ, origin, prob = action_of[live], succ[live], origin[live], prob[live]
+
+        # The first succ users of each cell restart at age 1 and every
+        # other user ages, capped at l: the shift of sim._advance, user by
+        # user.
+        start = users[origin]
+        hit = offset[origin] < np.take_along_axis(succ, run[origin], axis=1)
+        nxt_users = np.where(hit, start // l * l, start + (start % l < l - 1))
+        nxt_users.sort(axis=1)
+        parts.append((state_of + lo, action_of + n_actions, prob,
+                      _lex_find(lookup, nxt_users)))
+        n_actions += len(state_of)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def joint_mdp_optimal(cfg: NetworkConfig) -> float:
     """Exact optimal per-user average age for a tiny joint instance.
 
-    Runs damped relative value iteration over all l**n joint age vectors
-    with the exact m-subset action space. Ties between actions are broken
-    toward the lexicographically smallest scheduled subset. Only feasible
-    for l**n <= JOINT_STATE_CAP.
+    Runs damped relative value iteration on the exchangeable quotient of
+    the joint n-user MDP with the true per-slot budget. A state is the
+    per-class count vector over ages 1..l, an action the served count of
+    each occupied cell (at most its count, m in all), an outcome the
+    successes r <= s of each served cell, with probability
+    prod C(s, r) p^r (1 - p)^(s - r). Successes restart at age 1, every
+    other user ages by one slot, capped at l. The stage cost is the sum
+    of the ages and the reference state, row 0, has every user at age 1.
+
+    The Bellman operator of the user-level MDP over all l**n age vectors
+    commutes with permutations of same-class users, and the iteration
+    starts from v = 0, so every user-level iterate is the quotient iterate
+    read at the state's counts. The span, the stopping sweep and the
+    returned value are therefore those of the user-level iteration, up to
+    floating-point summation order. The user-level state count l**n is
+    still what JOINT_STATE_CAP bounds.
     """
     validate_config(cfg)
-    n, l, m = cfg.n, cfg.l, cfg.m
+    n, l = cfg.n, cfg.l
     n_states = l ** n
     if n_states > JOINT_STATE_CAP:
         raise SizeError(
             f"joint state space l**n = {n_states} exceeds cap {JOINT_STATE_CAP}"
         )
-    p_user = np.repeat(cfg.p_vector(), cfg.class_sizes())
+    users = _quotient_states(cfg)
+    cost = (users % l + 1).sum(axis=1).astype(float)
+    state_of, action_of, prob, nxt = _transitions(cfg, users)
+    first_action = np.flatnonzero(np.diff(state_of, prepend=-1))
 
-    # ages_grid[s, u] is the age of user u in state s; mixed-radix encoding.
-    grids = np.indices((l,) * n).reshape(n, -1).T + 1
-    ages_grid = grids.astype(np.int64)
-    cost = ages_grid.sum(axis=1).astype(float)
-    weights = l ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    aged = np.minimum(ages_grid + 1, l)
-    transitions = []  # per action: list of (prob, next_state_index)
-    for action in itertools.combinations(range(n), m):
-        outcomes = []
-        for success in itertools.product((True, False), repeat=m):
-            prob = 1.0
-            nxt_ages = aged.copy()
-            for user, ok in zip(action, success):
-                if ok:
-                    prob *= p_user[user]
-                    nxt_ages[:, user] = 1
-                else:
-                    prob *= 1.0 - p_user[user]
-            if prob == 0.0:
-                continue
-            idx = (nxt_ages - 1) @ weights
-            outcomes.append((prob, idx))
-        transitions.append(outcomes)
-
-    value = np.zeros(n_states)
+    value = np.zeros(len(users))
     tau = DAMPING
-    expected = np.empty((len(transitions), n_states))
     for _ in range(MAX_ITERS):
-        for a, outcomes in enumerate(transitions):
-            acc = np.zeros(n_states)
-            for prob, idx in outcomes:
-                acc += prob * value[idx]
-            expected[a] = acc
-        updated = (1.0 - tau) * value + cost + tau * expected.min(axis=0)
+        expected = np.bincount(action_of, weights=prob * value[nxt],
+                               minlength=len(state_of))
+        updated = (1.0 - tau) * value + cost + tau * np.minimum.reduceat(
+            expected, first_action)
         diff = updated - value
         span = diff.max() - diff.min()
         value = updated - updated[0]

@@ -5,18 +5,21 @@ a Python loop over tie groups for the fluid map and the cell ranks, dense
 (k*l) x (k*l) flow matrices for the linear region, a dense eigensolve of
 every undeflated class block, damped relative value iteration for the
 single-user MDP, a relaxed solver that recomputes the thresholds of
-each candidate subsidy from scratch, and a simulator that follows every
-user. Tests compare the package against them; nothing in src/ imports
-this module.
+each candidate subsidy from scratch, a simulator that follows every
+user, and a joint-MDP solver over every user-age vector. Tests compare
+the package against them; nothing in src/ imports this module.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from aoisched.errors import ConvergenceError, InfeasibleError
+from aoisched.errors import ConvergenceError, InfeasibleError, SizeError
 from aoisched.fluid import NILPOTENT_TOL
 from aoisched.index import TIE_TOL, age_cost, optimal_thresholds, whittle_index_table
 from aoisched.model import OccupancyVector, validate_config
+from aoisched.oracle import JOINT_STATE_CAP
 from aoisched.relaxed import (
     BUDGET_SLACK,
     RelaxedSolution,
@@ -295,3 +298,66 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
             sched = np.flatnonzero((ages >= hi) | ((ages >= lo) & (coins < coin)))
         ages = step(ages, sched, p_user, l, rng)
     return total / (horizon * n), total_tail / ((horizon - skip) * n)
+
+
+def joint_mdp_optimal(cfg) -> float:
+    """Exact optimal per-user average age, over every user-age vector.
+
+    Runs damped relative value iteration over all l**n joint age vectors
+    with the exact m-subset action space. Ties between actions are broken
+    toward the lexicographically smallest scheduled subset. Only feasible
+    for l**n <= JOINT_STATE_CAP.
+    """
+    validate_config(cfg)
+    n, l, m = cfg.n, cfg.l, cfg.m
+    n_states = l ** n
+    if n_states > JOINT_STATE_CAP:
+        raise SizeError(
+            f"joint state space l**n = {n_states} exceeds cap {JOINT_STATE_CAP}"
+        )
+    p_user = np.repeat(cfg.p_vector(), cfg.class_sizes())
+
+    # ages_grid[s, u] is the age of user u in state s; mixed-radix encoding.
+    grids = np.indices((l,) * n).reshape(n, -1).T + 1
+    ages_grid = grids.astype(np.int64)
+    cost = ages_grid.sum(axis=1).astype(float)
+    weights = l ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    aged = np.minimum(ages_grid + 1, l)
+    transitions = []  # per action: list of (prob, next_state_index)
+    for action in itertools.combinations(range(n), m):
+        outcomes = []
+        for success in itertools.product((True, False), repeat=m):
+            prob = 1.0
+            nxt_ages = aged.copy()
+            for user, ok in zip(action, success):
+                if ok:
+                    prob *= p_user[user]
+                    nxt_ages[:, user] = 1
+                else:
+                    prob *= 1.0 - p_user[user]
+            if prob == 0.0:
+                continue
+            idx = (nxt_ages - 1) @ weights
+            outcomes.append((prob, idx))
+        transitions.append(outcomes)
+
+    value = np.zeros(n_states)
+    tau = DAMPING
+    expected = np.empty((len(transitions), n_states))
+    for _ in range(MAX_ITERS):
+        for a, outcomes in enumerate(transitions):
+            acc = np.zeros(n_states)
+            for prob, idx in outcomes:
+                acc += prob * value[idx]
+            expected[a] = acc
+        updated = (1.0 - tau) * value + cost + tau * expected.min(axis=0)
+        diff = updated - value
+        span = diff.max() - diff.min()
+        value = updated - updated[0]
+        if span < SPAN_TOL:
+            avg_cost = 0.5 * (diff.max() + diff.min())
+            return float(avg_cost) / n
+    raise ConvergenceError(
+        f"joint rvi did not reach span {SPAN_TOL} in {MAX_ITERS} steps"
+    )

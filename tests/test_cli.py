@@ -245,6 +245,20 @@ def test_negative_seed_rejected_by_parser(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # One parser per process: a rejected flag leaves it usable and the
+    # same arguments give the same output.
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["solve-rp", "--config", cfg_path]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-rp", "--config", cfg_path, "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve-rp", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out == first
+
+
 def experiment_spec(out, **kw):
     defaults = dict(
         base=cheap_config(), n_sweep=(12, 24),

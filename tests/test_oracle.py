@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
-from aoisched import ClassSpec, NetworkConfig
+from aoisched import ClassSpec, NetworkConfig, oracle
 from aoisched.errors import RangeError, SizeError
 from aoisched.index import cost_pair, optimal_thresholds, whittle_index
 from aoisched.oracle import (
@@ -94,6 +94,69 @@ def test_joint_mdp_meets_relaxed_bound_on_toy():
     # relaxation can only lower the cost
     assert joint >= sol.c_rp - 1e-9
     assert joint == pytest.approx(sol.c_rp, abs=1e-6)
+
+
+# (l, m, ((p, class size), ...)) with l**n within the cap; p = 1.0 makes
+# the age chains periodic.
+JOINT_GRID = [
+    (3, 1, ((1.0, 2),)),
+    (4, 1, ((0.7, 3),)),
+    (5, 2, ((0.1, 3),)),
+    (6, 1, ((0.1, 4),)),
+    (5, 2, ((1.0, 4),)),
+    (4, 2, ((0.5, 5),)),
+    (3, 3, ((1.0, 5),)),
+    (3, 3, ((0.1, 6),)),
+    (6, 1, ((1.0, 1), (0.1, 1))),
+    (5, 1, ((0.1, 1), (0.6, 2))),
+    (4, 2, ((1.0, 2), (0.4, 1))),
+    (5, 2, ((0.1, 1), (1.0, 3))),
+    (3, 3, ((0.5, 3), (0.1, 1))),
+    (4, 2, ((1.0, 2), (0.1, 3))),
+    (4, 3, ((0.1, 2), (0.9, 4))),
+    (3, 1, ((1.0, 4), (0.25, 2))),
+]
+
+
+def _joint_config(l, m, classes):
+    n = sum(size for _, size in classes)
+    return NetworkConfig(
+        n=n, alpha=m / n, l=l,
+        classes=tuple(ClassSpec(p=p, gamma=size / n) for p, size in classes),
+    )
+
+
+@pytest.mark.parametrize("l, m, classes", JOINT_GRID)
+def test_joint_mdp_quotient_matches_full_state_solver(l, m, classes):
+    cfg = _joint_config(l, m, classes)
+    assert abs(joint_mdp_optimal(cfg) - ref.joint_mdp_optimal(cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, l, p", [(3, 4, 0.7), (6, 6, 0.5)])
+def test_joint_mdp_bench_instances_bit_identical(n, l, p):
+    # perfbench's joint_n3 and joint_n6: the quotient returns exactly the
+    # full-state solver's value.
+    cfg = NetworkConfig(n=n, alpha=1.0 / 3.0, l=l, classes=(ClassSpec(p=p, gamma=1.0),))
+    assert joint_mdp_optimal(cfg) == ref.joint_mdp_optimal(cfg)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_joint_mdp_state_blocks_do_not_change_result(monkeypatch, block):
+    cfg = _joint_config(4, 3, ((0.1, 2), (0.9, 4)))
+    whole = joint_mdp_optimal(cfg)
+    monkeypatch.setattr(oracle, "STATE_BLOCK", block)
+    assert joint_mdp_optimal(cfg) == whole
+
+
+@pytest.mark.parametrize("l, m, classes", [
+    (5, 2, ((0.1, 1), (1.0, 3))),
+    (4, 3, ((0.1, 2), (0.9, 4))),
+    (5, 1, ((0.3, 2), (0.8, 2))),
+])
+def test_joint_mdp_ignores_class_order(l, m, classes):
+    forward = joint_mdp_optimal(_joint_config(l, m, classes))
+    backward = joint_mdp_optimal(_joint_config(l, m, classes[::-1]))
+    assert abs(forward - backward) <= 1e-12
 
 
 def test_joint_mdp_rejects_huge_state_space():
