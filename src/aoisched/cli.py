@@ -47,7 +47,6 @@ from .sim import (
     PolicyKind,
     greedy_policy,
     hitting_times,
-    make_initial_ages,
     rp_policy,
     simulate,
     uniform_policy,
@@ -91,16 +90,6 @@ def _policy_from_name(name: str, sol) -> PolicyKind:
     if name == "rp_threshold":
         return rp_policy(sol)
     raise RangeError(f"unknown policy {name!r}")
-
-
-def _initial_ages(kind: str, cfg: NetworkConfig, sol) -> np.ndarray:
-    if kind == "ones":
-        return np.ones(cfg.n, dtype=np.int64)
-    if kind == "maxed":
-        return np.full(cfg.n, cfg.l, dtype=np.int64)
-    if kind == "star":
-        return make_initial_ages(sol.z_star, cfg)
-    raise RangeError(f"unknown initial state kind {kind!r}")
 
 
 def _initial_occupancy(kind: str, cfg: NetworkConfig, sol) -> np.ndarray:
@@ -164,7 +153,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             raise RangeError(f"unknown policy {name!r}")
     if not spec.n_sweep:
         raise RangeError("n sweep is empty")
-    _check_replications(spec.replications)
     if spec.epsilon is not None and not spec.epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {spec.epsilon}")
     if spec.cap < 0:
@@ -177,7 +165,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     points = []
     for n, cfg in zip(spec.n_sweep, configs):
         sol = solve_rp(cfg)
-        init = _initial_ages(spec.initial, cfg, sol)
+        init = _initial_occupancy(spec.initial, cfg, sol)
         for name in spec.policies:
             policy = _policy_from_name(name, sol)
             want_hit = spec.epsilon is not None and name == "whittle"
@@ -342,16 +330,10 @@ def _write_rows(rows, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_replications(count: int) -> None:
-    if count < 1:
-        raise RangeError(f"replications must be >= 1, got {count}")
-
-
 def _cmd_simulate(args) -> int:
-    _check_replications(args.replications)
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
-    init = _initial_ages(args.initial, cfg, sol)
+    init = _initial_occupancy(args.initial, cfg, sol)
     rows = []
     for name in (part.strip() for part in args.policies.split(",")):
         policy = _policy_from_name(name, sol)
@@ -368,10 +350,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_hitting_time(args) -> int:
-    _check_replications(args.replications)
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
-    init = _initial_ages(args.initial, cfg, sol)
+    init = _initial_occupancy(args.initial, cfg, sol)
     hits = hitting_times(cfg, init, args.epsilon, args.seed, args.replications,
                          cap=args.cap, sol=sol,
                          stream=_point_streams(args.seed, cfg.n, "whittle")[1])

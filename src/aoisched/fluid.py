@@ -10,17 +10,20 @@ critical index value w_star, the map is affine. assemble_linear builds
 that affine map explicitly: one coordinate per class is eliminated
 through the per-class mass constraint (the age l_star_k - 1 coordinate
 for k != m, age l_star_m for the critical class), giving z' = Q z + c on
-the reduced coordinates. The spectral radius of Q certifies local
-geometric convergence to the fixed point z_star and is computed by two
-independent routes that must agree: eigenvalues read off the numbers in
-Q, and the closed-form characteristic factors of each class.
+the reduced coordinates. Q is kept as what is not zero in it: one
+diagonal block per class plus a rank-one coupling of the critical class
+to the others, so Q is block triangular by construction. The spectral
+radius of Q certifies local geometric convergence to the fixed point
+z_star and is computed by two independent routes that must agree:
+eigenvalues read off the numbers in the diagonal blocks, and the
+closed-form characteristic factors of each class.
 
 The first route deflates each class block before any eigensolve. From
 the first fully served age f_k on, the block acts on sum-zero tail
 vectors as a (1-p_k)-scaled shift, a defective Jordan block whose dense
 eigenvalues would come back as a spurious ring of size about
-(1-p_k) eps**(1/dim). That tail is checked on Q to be invariant and
-nilpotent and contributes exact zeros; only the (f_k - 1)-dimensional
+(1-p_k) eps**(1/dim). That tail is checked on the block to be invariant
+and nilpotent and contributes exact zeros; only the (f_k - 1)-dimensional
 quotient (head coordinates plus the tail sum) is solved.
 """
 from __future__ import annotations
@@ -54,11 +57,16 @@ class LinearRegionSystem:
 
     reduction[k] is the 1-based age coordinate eliminated for class k,
     and full_from[k] its first fully served age (l+1 when none is).
-    q is block structured: one (l-1) x (l-1) diagonal block per class,
-    with off-diagonal coupling only in the critical class's block row.
+    q is stored by its parts that are not zero: blocks[k] is the
+    (l-1) x (l-1) diagonal block of class k, and the off-diagonal blocks,
+    all in the critical class's block row, are the rank-one
+    outer(u, v[j]). v has one row per class and v[m] is zero; c is flat,
+    class-major like the reduced coordinates.
     """
 
-    q: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    u: np.ndarray
+    v: np.ndarray
     c: np.ndarray
     reduction: tuple[int, ...]
     full_from: tuple[int, ...]
@@ -157,10 +165,15 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
         b = a_z + a_s diag(full) - a_s[:, c0] full^T.
 
     The last term lives in the critical class's rows only, so b is block
-    diagonal apart from that rank-one coupling and is assembled one
-    class block at a time. The per-class mass constraints then eliminate
-    one coordinate per class (age l_star_k - 1 for k != m, age l_star_m
-    for the critical class), yielding (q, c) on k*(l-1) coordinates.
+    diagonal apart from that rank-one coupling. The per-class mass
+    constraints then eliminate one coordinate per class (age
+    l_star_k - 1 for k != m, age l_star_m for the critical class),
+    yielding (q, c) on k*(l-1) coordinates. Each diagonal block of q is
+    built once from its class block of b. The coupling stays rank one:
+    the dropped age l_star_j - 1 of a class j != m is never fully
+    served, so substituting it adds nothing to the critical rows, and
+    the (m, j) block of q is outer(u, v[j]), with u the kept rows of
+    -a_s[:, c0] and v[j] the kept entries of class j's full mask.
     Raises FixedPointError when fluid_step moves z_star or q z + c
     disagrees with fluid_step at z_star (see _check_fixed_point).
     """
@@ -190,31 +203,27 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     reset[0] = 1.0
     col0 = p_vec[m] * (reset - a_z)[:, sol.l_star[m] - 1]
 
-    d = l - 1
-    q = np.zeros((k_cls * d, k_cls * d))
-    c_vec = np.zeros(k_cls * d)
+    blocks = []
+    c_vec = np.zeros((k_cls, l - 1))
     for k in range(k_cls):
-        rows = slice(k * d, (k + 1) * d)
-        for j in range(k_cls) if k == m else (k,):
-            if j == k:
-                a_s = p_vec[k] * (reset - a_z)
-                s = a_s * full[k]
-                if k == m:
-                    s -= np.outer(col0, full[k])
-                b = a_z + s
-            else:
-                b = -np.outer(col0, full[j])
-            # Substituting the dropped coordinate of class j, whose mass
-            # is gamma_j minus the kept ones, into the kept rows.
-            b_rows = b[keep[k]]
-            dropped = b_rows[:, reduction[j] - 1]
-            q[rows, j * d:(j + 1) * d] = b_rows[:, keep[j]] - dropped[:, None]
-            c_vec[rows] += dropped * gamma[j]
+        a_s = p_vec[k] * (reset - a_z)
+        s = a_s * full[k]
         if k == m:
-            c_vec[rows] += col0[keep[k]] * cfg.alpha
+            s -= np.outer(col0, full[k])
+        b_rows = (a_z + s)[keep[k]]
+        # Substituting the dropped coordinate, whose mass is gamma_k
+        # minus the kept ones, into the kept rows.
+        dropped = b_rows[:, reduction[k] - 1]
+        blocks.append(b_rows[:, keep[k]] - dropped[:, None])
+        c_vec[k] = dropped * gamma[k]
+    c_vec[m] += col0[keep[m]] * cfg.alpha
+    v = np.array([full[j][keep[j]] for j in range(k_cls)], dtype=float)
+    v[m] = 0.0
     system = LinearRegionSystem(
-        q=q,
-        c=c_vec,
+        blocks=tuple(blocks),
+        u=-col0[keep[m]],
+        v=v,
+        c=c_vec.ravel(),
         reduction=reduction,
         full_from=full_from,
         p=tuple(float(x) for x in p_vec),
@@ -234,12 +243,16 @@ def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
     fluid_step there in reduced coordinates. Both fail when the tie
     group at w_star spans several classes: fluid_step then shares the
     residual budget over the whole group, while z_star and q randomize
-    the critical class alone.
+    the critical class alone. q z is taken block by block, plus the
+    coupling u (v . z) in the critical rows.
     """
     z_star = sol.z_star.z
     nxt = fluid_step(z_star, cfg).z
     moved = float(np.abs(nxt - z_star).max())
-    affine = float(np.abs(sys.q @ reduce_occupancy(z_star, sys) + sys.c
+    parts = reduce_occupancy(z_star, sys).reshape(len(sys.blocks), -1)
+    image = np.array([blk @ part for blk, part in zip(sys.blocks, parts)])
+    image[sys.m] += sys.u * np.vdot(sys.v, parts)
+    affine = float(np.abs(image.ravel() + sys.c
                           - reduce_occupancy(nxt, sys)).max())
     if moved > AFFINE_TOL or affine > AFFINE_TOL:
         raise FixedPointError(
@@ -307,8 +320,9 @@ def _tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
 def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
     """Eigenvalues of q, one deflated diagonal class block at a time.
 
-    Rows of a non-critical class never reference other classes, so q is
-    block triangular and its spectrum is the union of the class blocks.
+    The only off-diagonal blocks of q, outer(u, v[j]), sit in the
+    critical class's block row, so q is block triangular and its
+    spectrum is the union of sys.blocks' spectra.
     Each block is first deflated by _tail_quotient: from the first fully
     served age f_k on, sum-zero tail vectors are shifted down the ages
     at rate 1-p_k, an exactly nilpotent action that a dense eigensolve
@@ -319,12 +333,10 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
     is certified by squaring past the nilpotency index and contributes
     exact zeros as well.
     """
-    d = sys.l - 1
     parts = []
-    for k, f in enumerate(sys.full_from):
-        blk = sys.q[k * d:(k + 1) * d, k * d:(k + 1) * d]
+    for k, (blk, f) in enumerate(zip(sys.blocks, sys.full_from)):
         quot = _tail_quotient(blk, f - 2, k)
-        parts.append(np.zeros(d - len(quot), dtype=complex))
+        parts.append(np.zeros(len(blk) - len(quot), dtype=complex))
         if k == sys.m or sys.l_star[k] == sys.l + 1:
             power = quot
             exponent = 1

@@ -35,6 +35,13 @@ def _check_l(l: int) -> None:
         raise RangeError(f"l must be an integer >= 2, got {l!r}")
 
 
+def _check_threshold(n: int, l: int) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise RangeError(f"threshold must be an integer, got {n!r}")
+    if not 1 <= n <= l + 1:
+        raise RangeError(f"threshold {n} outside 1..{l + 1}")
+
+
 def _qpow(q: float, x: int) -> float:
     """q ** x for q = 1 - p, stable for tiny bases and large exponents."""
     if x == 0:
@@ -131,10 +138,7 @@ def stationary_distribution(n: int, p: float, l: int) -> np.ndarray:
     """
     _check_p(p)
     _check_l(l)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise RangeError(f"threshold must be an integer, got {n!r}")
-    if not 1 <= n <= l + 1:
-        raise RangeError(f"threshold {n} outside 1..{l + 1}")
+    _check_threshold(n, l)
     u = np.zeros(l, dtype=float)
     if n == l + 1:
         u[l - 1] = 1.0
@@ -156,10 +160,7 @@ def age_cost(n: int, p: float, l: int) -> float:
     """
     _check_p(p)
     _check_l(l)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise RangeError(f"threshold must be an integer, got {n!r}")
-    if not 1 <= n <= l + 1:
-        raise RangeError(f"threshold {n} outside 1..{l + 1}")
+    _check_threshold(n, l)
     if n == l + 1:
         return float(l)
     num = ((n - 1) ** 2 + (n - 1)) * p * p + 2.0 * p * (n - 1) + 2.0 * (
@@ -179,10 +180,7 @@ def sched_cost(n: int, w: float, p: float, l: int) -> float:
     _check_l(l)
     if w < 0.0:
         raise RangeError(f"subsidy must be >= 0, got {w!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise RangeError(f"threshold must be an integer, got {n!r}")
-    if not 1 <= n <= l + 1:
-        raise RangeError(f"threshold {n} outside 1..{l + 1}")
+    _check_threshold(n, l)
     if n == l + 1:
         return 0.0
     return w / (n * p + 1.0 - p)

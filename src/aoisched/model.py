@@ -72,24 +72,6 @@ class NetworkConfig:
         return np.array([c.gamma for c in self.classes], dtype=float)
 
 
-@dataclass(frozen=True)
-class AgeState:
-    """Truncated age value, an integer in {1, ..., l}."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise RangeError(f"age must be an integer, got {self.value!r}")
-        if self.value < 1:
-            raise RangeError(f"age must be >= 1, got {self.value}")
-
-    def check(self, l: int) -> "AgeState":
-        if self.value > l:
-            raise RangeError(f"age {self.value} exceeds the bound l={l}")
-        return self
-
-
 @dataclass(frozen=True, eq=False)
 class OccupancyVector:
     """Per-class, per-age population fractions, shape (k, l).
@@ -119,9 +101,6 @@ class OccupancyVector:
     @property
     def l(self) -> int:
         return self.z.shape[1]
-
-    def flat(self) -> np.ndarray:
-        return self.z.ravel()
 
     def mass_by_class(self) -> np.ndarray:
         return self.z.sum(axis=1)

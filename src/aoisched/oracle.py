@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RangeError, SingularSystemError, SizeError
-from .index import _check_l, _check_p
+from .index import _check_l, _check_p, _check_threshold
 from .model import NetworkConfig, validate_config
 
 SPAN_TOL = 1e-9
@@ -94,10 +94,7 @@ def stationary_by_balance(n: int, p: float, l: int, upper: int | None = None,
     _check_p(p)
     _check_l(l)
     for t in (n,) if upper is None else (n, upper):
-        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
-            raise RangeError(f"threshold must be an integer, got {t!r}")
-        if not 1 <= t <= l + 1:
-            raise RangeError(f"threshold {t} outside 1..{l + 1}")
+        _check_threshold(t, l)
     kernel = _threshold_chain_kernel(n, p, l)
     if upper is not None:
         kernel = coin * kernel + (1.0 - coin) * _threshold_chain_kernel(upper, p, l)

@@ -2,12 +2,13 @@
 
 Each function here is the plain implementation the package once shipped:
 a Python loop over tie groups for the fluid map and the cell ranks, dense
-(k*l) x (k*l) flow matrices for the linear region, a dense eigensolve of
-every undeflated class block, damped relative value iteration for the
-single-user MDP, a relaxed solver that recomputes the thresholds of
-each candidate subsidy from scratch, a simulator that follows every
-user, and a joint-MDP solver over every user-age vector. Tests compare
-the package against them; nothing in src/ imports this module.
+(k*l) x (k*l) flow matrices for the linear region, a dense q written one
+class block at a time, a dense eigensolve of every undeflated class
+block, damped relative value iteration for the single-user MDP, a
+relaxed solver that recomputes the thresholds of each candidate subsidy
+from scratch, a simulator that follows every user, and a joint-MDP
+solver over every user-age vector. Tests compare the package against
+them; nothing in src/ imports this module.
 """
 from __future__ import annotations
 
@@ -158,6 +159,63 @@ def assemble_linear(cfg, sol) -> tuple[np.ndarray, np.ndarray]:
     return (b @ embed)[kept, :], (b @ offset + d)[kept]
 
 
+def assemble_linear_blocks(cfg, sol) -> tuple[np.ndarray, np.ndarray]:
+    """(q, c) of the linear region, written one class block at a time
+    into a dense (k*(l-1)) x (k*(l-1)) q, the critical block row in full."""
+    k_cls, l, m = cfg.k, cfg.l, sol.m
+    p_vec = cfg.p_vector()
+    gamma = cfg.gamma_vector()
+    reduction = tuple(
+        sol.l_star[k] if k == m else sol.l_star[k] - 1 for k in range(k_cls)
+    )
+    full_from = tuple(
+        sol.thresholds[m][0] if k == m else sol.l_star[k] for k in range(k_cls)
+    )
+    ages = np.arange(1, l + 1)
+    full = [ages >= f for f in full_from]
+    keep = [ages != reduction[k] for k in range(k_cls)]
+    a_z = np.eye(l, k=-1)
+    a_z[-1, -1] = 1.0
+    reset = np.zeros((l, l))
+    reset[0] = 1.0
+    col0 = p_vec[m] * (reset - a_z)[:, sol.l_star[m] - 1]
+
+    d = l - 1
+    q = np.zeros((k_cls * d, k_cls * d))
+    c_vec = np.zeros(k_cls * d)
+    for k in range(k_cls):
+        rows = slice(k * d, (k + 1) * d)
+        for j in range(k_cls) if k == m else (k,):
+            if j == k:
+                a_s = p_vec[k] * (reset - a_z)
+                s = a_s * full[k]
+                if k == m:
+                    s -= np.outer(col0, full[k])
+                b = a_z + s
+            else:
+                b = -np.outer(col0, full[j])
+            # Substituting the dropped coordinate of class j, whose mass
+            # is gamma_j minus the kept ones, into the kept rows.
+            b_rows = b[keep[k]]
+            dropped = b_rows[:, reduction[j] - 1]
+            q[rows, j * d:(j + 1) * d] = b_rows[:, keep[j]] - dropped[:, None]
+            c_vec[rows] += dropped * gamma[j]
+        if k == m:
+            c_vec[rows] += col0[keep[k]] * cfg.alpha
+    return q, c_vec
+
+
+def dense_q(sys) -> np.ndarray:
+    """q of a LinearRegionSystem as one dense matrix: sys.blocks on the
+    diagonal plus outer(u, v[j]) in the critical class's block row."""
+    k_cls, d = len(sys.blocks), sys.l - 1
+    q = np.zeros((k_cls * d, k_cls * d))
+    for k, blk in enumerate(sys.blocks):
+        q[k * d:(k + 1) * d, k * d:(k + 1) * d] = blk
+    q[sys.m * d:(sys.m + 1) * d] += np.outer(sys.u, sys.v.ravel())
+    return q
+
+
 def rvi_one_dim(p: float, l: int, w: float) -> tuple[float, np.ndarray, int]:
     """(avg_cost, value_fn, threshold) by damped relative value iteration.
 
@@ -192,8 +250,7 @@ def block_spectrum(sys) -> np.ndarray:
     """
     d = sys.l - 1
     parts = []
-    for k in range(len(sys.l_star)):
-        blk = sys.q[k * d:(k + 1) * d, k * d:(k + 1) * d]
+    for k, blk in enumerate(sys.blocks):
         if k == sys.m or sys.l_star[k] == sys.l + 1:
             power = blk
             exponent = 1

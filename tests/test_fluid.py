@@ -14,6 +14,7 @@ from aoisched.errors import (
     FixedPointError,
 )
 from aoisched.fluid import (
+    AFFINE_TOL,
     assemble_linear,
     fluid_step,
     fluid_trajectory,
@@ -93,20 +94,22 @@ def test_linear_system_truncation_tie():
     cfg = one_class(0.5, 3, 0.5, n=10)
     sol = solve_rp(cfg)
     sysm = assemble_linear(cfg, sol)
-    np.testing.assert_allclose(sysm.q, [[0.0, 0.0], [-1.0, 0.0]], atol=1e-14)
+    q = ref.dense_q(sysm)
+    np.testing.assert_allclose(q, [[0.0, 0.0], [-1.0, 0.0]], atol=1e-14)
     np.testing.assert_allclose(sysm.c, [0.25, 0.75], atol=1e-14)
     assert spectral_radius(sysm) < 1e-12
     zred = reduce_occupancy(sol.z_star.z, sysm)
-    np.testing.assert_allclose(sysm.q @ zred + sysm.c, zred, atol=1e-12)
+    np.testing.assert_allclose(q @ zred + sysm.c, zred, atol=1e-12)
 
 
 def test_linear_system_singleton():
     cfg = one_class(0.5, 3, 0.75, n=8)
     sol = solve_rp(cfg)
     sysm = assemble_linear(cfg, sol)
-    np.testing.assert_allclose(sysm.q, [[-0.5, -0.5], [0.5, 0.5]], atol=1e-14)
+    q = ref.dense_q(sysm)
+    np.testing.assert_allclose(q, [[-0.5, -0.5], [0.5, 0.5]], atol=1e-14)
     # nilpotent: the deviation dies in a finite number of steps
-    np.testing.assert_allclose(sysm.q @ sysm.q, np.zeros((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(q @ q, np.zeros((2, 2)), atol=1e-14)
     assert spectral_radius(sysm) < 1e-12
 
 
@@ -114,12 +117,13 @@ def test_affine_map_matches_fluid_step_inside_region():
     cfg = two_class_ref()
     sol = solve_rp(cfg)
     sysm = assemble_linear(cfg, sol)
+    q = ref.dense_q(sysm)
     samples = region_samples(cfg, sol)
     assert len(samples) >= 100
     worst = 0.0
     for z in samples:
         lhs = reduce_occupancy(fluid_step(z, cfg).z, sysm)
-        rhs = sysm.q @ reduce_occupancy(z, sysm) + sysm.c
+        rhs = q @ reduce_occupancy(z, sysm) + sysm.c
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-10
 
@@ -175,30 +179,30 @@ def test_block_spectrum_matches_full_block_reference():
             compared += 1
 
 
-def mutate(q, cells):
-    q = q.copy()
-    for row, col, delta in cells:
-        q[row, col] += delta
-    return q
+def mutate(blocks, cells):
+    blocks = [blk.copy() for blk in blocks]
+    for k, row, col, delta in cells:
+        blocks[k][row, col] += delta
+    return tuple(blocks)
 
 
 @pytest.mark.parametrize("cells", [
     # one tail entry of the non-critical class 0 (first served age 3)
-    [(20, 30, 1e-6)],
+    [(0, 20, 30, 1e-6)],
     # a head row picking up a tail column
-    [(0, 30, 1e-6)],
+    [(0, 0, 30, 1e-6)],
     # one tail entry of the critical class 1 (first served age 3)
-    [(49 + 20, 49 + 30, 1e-6)],
+    [(1, 20, 30, 1e-6)],
     # tail mass kept in place rather than shifted: column sums unchanged,
     # but the tail is no longer nilpotent
-    [(20, 20, 1e-6), (21, 20, -1e-6)],
+    [(0, 20, 20, 1e-6), (0, 21, 20, -1e-6)],
 ])
 def test_perturbed_tail_is_rejected(cells):
     cfg = two_class_ref()
     sysm = assemble_linear(cfg, solve_rp(cfg))
     assert sysm.full_from == (3, 3) and sysm.m == 1
     spectral_report(sysm)
-    broken = dataclasses.replace(sysm, q=mutate(sysm.q, cells))
+    broken = dataclasses.replace(sysm, blocks=mutate(sysm.blocks, cells))
     with pytest.raises(ConvergenceError, match="served tail"):
         spectral_report(broken)
     with pytest.raises(ConvergenceError, match="served tail"):
@@ -261,15 +265,24 @@ def test_cross_class_tie_at_w_star_is_not_certified():
     assert issubclass(FixedPointError, DegenerateThresholdError)
 
 
+def assert_blocks_equal_dense_builder(cfg, sol, sysm):
+    q, c = ref.assemble_linear_blocks(cfg, sol)
+    assert np.array_equal(ref.dense_q(sysm), q)
+    assert np.array_equal(sysm.c, c)
+
+
 def test_fast_paths_match_reference():
-    # q and c from per-class blocks, and fluid_step from one cumsum over
-    # the tie groups, against the dense-matrix and group-loop references
+    # q and c from per-class blocks plus the rank-one coupling, and
+    # fluid_step from one cumsum over the tie groups, against the
+    # dense-matrix and group-loop references; q and c also equal the
+    # dense block-by-block builder bit for bit
     accepted = 0
     worst_q = worst_c = worst_step = 0.0
     for cfg, rng in random_configs(20260819):
         sol = solve_rp(cfg)
+        z_star = sol.z_star.z
         starts = (
-            sol.z_star.z,
+            z_star,
             rng.dirichlet(np.ones(cfg.k * cfg.l)).reshape(cfg.k, cfg.l),
             rng.uniform(0.0, 0.2 * cfg.alpha / cfg.l, size=(cfg.k, cfg.l)),
         )
@@ -278,18 +291,32 @@ def test_fast_paths_match_reference():
             worst_step = max(worst_step, float(diff.max()))
         try:
             sysm = assemble_linear(cfg, sol)
+        except FixedPointError:
+            # skipped only where fluid_step itself moves z_star
+            assert np.abs(fluid_step(z_star, cfg).z - z_star).max() > AFFINE_TOL
+            continue
         except DegenerateThresholdError:
             continue
         q, c = ref.assemble_linear(cfg, sol)
-        assert sysm.q.shape == q.shape
-        worst_q = max(worst_q, float(np.abs(sysm.q - q).max()))
+        sys_q = ref.dense_q(sysm)
+        assert sys_q.shape == q.shape
+        worst_q = max(worst_q, float(np.abs(sys_q - q).max()))
         worst_c = max(worst_c, float(np.abs(sysm.c - c).max()))
+        assert_blocks_equal_dense_builder(cfg, sol, sysm)
         accepted += 1
         if accepted == 200:
             break
     assert worst_q <= 1e-12
     assert worst_c <= 1e-12
     assert worst_step <= 1e-12
+    # the analysis bench's four L=500 instances
+    for alpha, ps in ((0.5, (0.8, 0.2)), (0.25, (0.1, 0.3, 0.7, 0.9)),
+                      (0.1, (0.5, 0.8)), (0.05, (0.2, 0.4, 0.6, 0.8))):
+        cfg = NetworkConfig(n=400, alpha=alpha, l=500,
+                            classes=tuple(ClassSpec(p=p, gamma=1.0 / len(ps))
+                                          for p in ps))
+        sol = solve_rp(cfg)
+        assert_blocks_equal_dense_builder(cfg, sol, assemble_linear(cfg, sol))
 
 
 @settings(max_examples=200, deadline=None)

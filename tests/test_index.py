@@ -167,3 +167,22 @@ def test_domain_errors():
         stationary_distribution(7, 0.5, 5)
     with pytest.raises(RangeError):
         optimal_thresholds(-0.5, 0.5, 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: stationary_distribution(n, 0.5, 5),
+    lambda n: age_cost(n, 0.5, 5),
+    lambda n: sched_cost(n, 1.0, 0.5, 5),
+    lambda n: stationary_by_balance(n, 0.5, 5),
+    lambda n: stationary_by_balance(2, 0.5, 5, upper=n, coin=0.5),
+])
+def test_threshold_domain_messages(call):
+    # every threshold entry point rejects with the same messages
+    with pytest.raises(RangeError, match=r"^threshold 7 outside 1\.\.6$"):
+        call(7)
+    with pytest.raises(RangeError, match=r"^threshold 0 outside 1\.\.6$"):
+        call(0)
+    for bad in (2.0, True):
+        with pytest.raises(RangeError,
+                           match=rf"^threshold must be an integer, got {bad!r}$"):
+            call(bad)

@@ -12,7 +12,6 @@ from aoisched.errors import (
     ShapeError,
 )
 from aoisched.model import (
-    AgeState,
     ClassSpec,
     NetworkConfig,
     OccupancyVector,
@@ -91,22 +90,11 @@ def test_l_must_be_at_least_two():
         ))
 
 
-def test_age_state_domain():
-    assert AgeState(3).check(5).value == 3
-    with pytest.raises(RangeError):
-        AgeState(0)
-    with pytest.raises(RangeError):
-        AgeState(6).check(5)
-    with pytest.raises(RangeError):
-        AgeState(True)
-
-
 def test_occupancy_vector_is_write_protected():
     z = OccupancyVector(z=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         z.z[0, 0] = 1.0
     assert z.k == 1 and z.l == 2
-    assert z.flat().tolist() == [0.5, 0.5]
     assert z.mass_by_class().tolist() == [1.0]
 
 
