@@ -10,11 +10,12 @@ Experiment sweeps write three files into --out: rows.csv with one row
 per (n, policy, replication), summary.json with per-point means and
 standard errors, and plot.csv aggregated for external plotters. Each
 (n, policy) point runs its replications as one batch of the simulator's
-count kernel, from one generator derived from the master seed and the
-point (see run_experiment); simulate and hitting-time follow the same
-rule for their single point. Rows are written in a fixed nested order
-and floats use repr round-trip formatting, so reruns with the same
-master seed produce byte-identical bodies.
+count kernel, seeded from the master seed and the point by one rule,
+_point_seeds; _point_rows builds a point's rows for both experiment
+and simulate, and hitting-time takes its seed from the same rule. Rows
+are written in a fixed nested order and floats use repr round-trip
+formatting, so reruns with the same master seed produce byte-identical
+bodies.
 """
 from __future__ import annotations
 
@@ -45,12 +46,9 @@ from .sim import (
     HITTING_CAP,
     POLICY_NAMES,
     PolicyKind,
-    greedy_policy,
     hitting_times,
     rp_policy,
     simulate,
-    uniform_policy,
-    whittle_policy,
 )
 
 CSV_HEADER = "seed,n,policy,horizon,avg_age_per_user,c_rp,rel_gap,hitting_time"
@@ -80,18 +78,6 @@ def _config_with_n(base: NetworkConfig, n: int) -> NetworkConfig:
     return validate_config(cfg)
 
 
-def _policy_from_name(name: str, sol) -> PolicyKind:
-    if name == "whittle":
-        return whittle_policy()
-    if name == "greedy_max_age":
-        return greedy_policy()
-    if name == "uniform_random":
-        return uniform_policy()
-    if name == "rp_threshold":
-        return rp_policy(sol)
-    raise RangeError(f"unknown policy {name!r}")
-
-
 def _initial_occupancy(kind: str, cfg: NetworkConfig, sol) -> np.ndarray:
     z = np.zeros((cfg.k, cfg.l))
     if kind == "ones":
@@ -105,9 +91,39 @@ def _initial_occupancy(kind: str, cfg: NetworkConfig, sol) -> np.ndarray:
     return z
 
 
-def _point_streams(seed: int, n: int, name: str) -> list[np.random.SeedSequence]:
-    """Simulation and hitting-time streams of the (n, policy) point."""
+def _point_seeds(seed: int, n: int, name: str) -> list[np.random.SeedSequence]:
+    """Simulation and hitting-time seeds of the (n, policy) point.
+
+    SeedSequence([seed, n, POLICY_NAMES.index(name)]) spawns two
+    children: the first seeds the simulate batch, the second the
+    hitting_times batch.
+    """
     return np.random.SeedSequence([seed, n, POLICY_NAMES.index(name)]).spawn(2)
+
+
+def _point_rows(cfg: NetworkConfig, sol, name: str, init, seed: int,
+                horizon: int, replications: int, epsilon: float | None,
+                cap: int) -> list[tuple]:
+    """CSV rows of one (n, policy) point, replication index ascending.
+
+    The replications run as one simulate batch and, for whittle when
+    epsilon is set, one hitting_times batch capped at cap slots; the
+    hitting_time field is None on every other row.
+    """
+    policy = rp_policy(sol) if name == "rp_threshold" else PolicyKind(kind=name)
+    sim_seed, hit_seed = _point_seeds(seed, cfg.n, name)
+    records = simulate(cfg, policy, horizon, sim_seed, init,
+                       replications=replications)
+    hits = [None] * replications
+    if epsilon is not None and name == "whittle":
+        hits = hitting_times(cfg, init, epsilon, hit_seed, replications,
+                             cap=cap, sol=sol)
+    rows = []
+    for r, (rec, hit) in enumerate(zip(records, hits)):
+        age = rec.per_user_avg_age
+        rows.append((r, cfg.n, name, horizon, age, sol.c_rp,
+                     (age - sol.c_rp) / sol.c_rp, hit))
+    return rows
 
 
 def _fmt(value) -> str:
@@ -133,16 +149,13 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run the sweep and write rows.csv, summary.json, and plot.csv.
 
-    Row order is deterministic: n ascending across the sweep, then
-    policies in the given order, then replication index. The
-    replications of one (n, policy) point run as one simulate batch and,
-    on whittle rows when epsilon is set, one hitting_times batch capped
-    at cap slots; hitting_time is empty on every other row. Stream rule:
-    SeedSequence([seed, n, POLICY_NAMES.index(policy)]) spawns two
-    children, the first seeding the simulate batch and the second the
-    hitting_times batch. A point's rows therefore do not depend on the
-    other points of the sweep, but row r depends on the replication
-    count, because all rows of a batch share one generator.
+    Row order is deterministic: n in sweep order, then policies in the
+    given order, then replication index; each point's rows come from
+    _point_rows under the _point_seeds rule. A point's rows therefore do
+    not depend on the other points of the sweep, but row r depends on
+    the replication count, because all rows of a batch share one
+    generator. Every input is checked, and the output directory
+    created, before the first simulation.
     """
     if spec.out is None:
         raise RangeError("experiment requires an output directory")
@@ -151,8 +164,16 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     for name in spec.policies:
         if name not in POLICY_NAMES:
             raise RangeError(f"unknown policy {name!r}")
+    if len(set(spec.policies)) < len(spec.policies):
+        raise RangeError(f"repeated policy in {list(spec.policies)}")
     if not spec.n_sweep:
         raise RangeError("n sweep is empty")
+    if len(set(spec.n_sweep)) < len(spec.n_sweep):
+        raise RangeError(f"repeated n in sweep {list(spec.n_sweep)}")
+    if spec.replications < 1:
+        raise RangeError(f"replications must be >= 1, got {spec.replications}")
+    if spec.horizon < 1:
+        raise RangeError(f"horizon must be >= 1, got {spec.horizon}")
     if spec.epsilon is not None and not spec.epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {spec.epsilon}")
     if spec.cap < 0:
@@ -160,37 +181,28 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     if spec.initial not in INITIAL_KINDS:
         raise RangeError(f"unknown initial state kind {spec.initial!r}")
     configs = [_config_with_n(spec.base, n) for n in spec.n_sweep]
+    out_dir = Path(spec.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise RangeError(f"cannot create output directory {out_dir}: {err}") from err
 
     rows = []
     points = []
-    for n, cfg in zip(spec.n_sweep, configs):
+    for cfg in configs:
         sol = solve_rp(cfg)
         init = _initial_occupancy(spec.initial, cfg, sol)
         for name in spec.policies:
-            policy = _policy_from_name(name, sol)
+            point = _point_rows(cfg, sol, name, init, spec.seed, spec.horizon,
+                                spec.replications, spec.epsilon, spec.cap)
+            rows += point
             want_hit = spec.epsilon is not None and name == "whittle"
-            sim_stream, hit_stream = _point_streams(spec.seed, n, name)
-            records = simulate(cfg, policy, spec.horizon, seed=spec.seed,
-                               initial=init, stream=sim_stream,
-                               replications=spec.replications)
-            hits = [None] * spec.replications
-            if want_hit:
-                hits = hitting_times(cfg, init, spec.epsilon, spec.seed,
-                                     spec.replications, cap=spec.cap, sol=sol,
-                                     stream=hit_stream)
-            ages = [rec.per_user_avg_age for rec in records]
-            for r, (age, hit) in enumerate(zip(ages, hits)):
-                gap = (age - sol.c_rp) / sol.c_rp
-                rows.append((r, n, name, spec.horizon, age, sol.c_rp, gap, hit))
-            age_mean, age_se = _mean_stderr(ages)
-            gap_mean, gap_se = _mean_stderr(
-                [(a - sol.c_rp) / sol.c_rp for a in ages]
-            )
-            hit_mean, hit_se = _mean_stderr(
-                [float(h) for h in hits if h is not None] if want_hit else []
-            )
+            hits = [row[7] for row in point]
+            age_mean, age_se = _mean_stderr([row[4] for row in point])
+            gap_mean, gap_se = _mean_stderr([row[6] for row in point])
+            hit_mean, hit_se = _mean_stderr(hits)
             points.append({
-                "n": n,
+                "n": cfg.n,
                 "policy": name,
                 "replications": spec.replications,
                 "c_rp": sol.c_rp,
@@ -204,14 +216,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 if want_hit else 0,
             })
 
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "rows.csv"
-    body = "\n".join(
-        ",".join(_fmt(v) for v in row) for row in rows
-    )
-    rows_path.write_text(CSV_HEADER + "\n" + body + "\n")
-
+    _write_rows(rows, rows_path)
     summary = {
         "n_sweep": list(spec.n_sweep),
         "policies": list(spec.policies),
@@ -224,8 +230,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "points": points,
     }
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
+    _emit(summary, summary_path)
     plot_path = emit_plot_data(rows_path, out_dir / "plot.csv")
     return {
         "rows": str(rows_path),
@@ -238,8 +243,8 @@ def emit_plot_data(csv_path, out_path=None) -> Path:
     """Aggregate a rows.csv into per-(n, policy) means and stderrs.
 
     Output rows are sorted by (n, policy). Raises ParseError on a
-    malformed file and DuplicateKeyError when the same (n, policy, seed)
-    appears twice.
+    malformed file, DuplicateKeyError when the same (n, policy, seed)
+    appears twice and RangeError when out_path cannot be written.
     """
     csv_path = Path(csv_path)
     if out_path is None:
@@ -289,17 +294,23 @@ def emit_plot_data(csv_path, out_path=None) -> Path:
             _fmt(gap_mean), _fmt(gap_se),
             _fmt(hit_mean), _fmt(hit_se),
         ]))
-    out_path = Path(out_path)
-    out_path.write_text("\n".join(out_lines) + "\n")
-    return out_path
+    _output("\n".join(out_lines) + "\n", out_path)
+    return Path(out_path)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _output(text: str, out) -> None:
+    """Write text to the path out, or to stdout when out is empty."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:
+        raise RangeError(f"cannot write {out}: {err}") from err
+
+
+def _emit(payload: dict, out) -> None:
+    _output(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _solution_payload(sol) -> dict:
@@ -321,30 +332,21 @@ def _cmd_solve_rp(args) -> int:
     return 0
 
 
-def _write_rows(rows, out: str | None) -> None:
+def _write_rows(rows, out) -> None:
+    """Write CSV_HEADER and one line per row to out (stdout when empty)."""
     body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    text = CSV_HEADER + "\n" + body + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _output(CSV_HEADER + "\n" + body + "\n", out)
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    names = _parse_policies(args.policies)
     sol = solve_rp(cfg)
     init = _initial_occupancy(args.initial, cfg, sol)
     rows = []
-    for name in (part.strip() for part in args.policies.split(",")):
-        policy = _policy_from_name(name, sol)
-        records = simulate(cfg, policy, args.horizon, seed=args.seed,
-                           initial=init,
-                           stream=_point_streams(args.seed, cfg.n, name)[0],
-                           replications=args.replications)
-        for r, rec in enumerate(records):
-            gap = (rec.per_user_avg_age - sol.c_rp) / sol.c_rp
-            rows.append((r, cfg.n, name, args.horizon,
-                         rec.per_user_avg_age, sol.c_rp, gap, None))
+    for name in names:
+        rows += _point_rows(cfg, sol, name, init, args.seed, args.horizon,
+                            args.replications, None, HITTING_CAP)
     _write_rows(rows, args.out)
     return 0
 
@@ -353,9 +355,9 @@ def _cmd_hitting_time(args) -> int:
     cfg = load_config(args.config)
     sol = solve_rp(cfg)
     init = _initial_occupancy(args.initial, cfg, sol)
-    hits = hitting_times(cfg, init, args.epsilon, args.seed, args.replications,
-                         cap=args.cap, sol=sol,
-                         stream=_point_streams(args.seed, cfg.n, "whittle")[1])
+    hits = hitting_times(cfg, init, args.epsilon,
+                         _point_seeds(args.seed, cfg.n, "whittle")[1],
+                         args.replications, cap=args.cap, sol=sol)
     rows = [(r, cfg.n, "whittle", args.cap, None, sol.c_rp, None, hit)
             for r, hit in enumerate(hits)]
     _write_rows(rows, args.out)
@@ -434,6 +436,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {text!r}") from err
 
 
+def _parse_policies(text: str) -> tuple[str, ...]:
+    """Names of a comma-separated --policies flag, empty entries dropped."""
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not names:
+        raise RangeError(f"no policy named in {text!r}")
+    return names
+
+
 def _u64(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -447,7 +457,7 @@ def _cmd_experiment(args) -> int:
     spec = ExperimentSpec(
         base=load_config(args.config),
         n_sweep=_parse_int_list(args.n_sweep),
-        policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
+        policies=_parse_policies(args.policies),
         replications=args.replications,
         horizon=args.horizon,
         seed=args.seed,

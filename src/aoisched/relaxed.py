@@ -129,17 +129,6 @@ def _mixture_z(cfg, thresholds, m, theta, l_star) -> np.ndarray:
     return z
 
 
-def rp_fixed_point(sol: RelaxedSolution, cfg: NetworkConfig) -> OccupancyVector:
-    """Occupancy induced by the relaxed-optimal policy.
-
-    Class m mixes the stationary laws of its two thresholds with weights
-    (theta_star, 1 - theta_star); every other class sits at its effective
-    threshold.
-    """
-    z = _mixture_z(cfg, sol.thresholds, sol.m, sol.theta_star, sol.l_star)
-    return OccupancyVector(z=z)
-
-
 def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
     """Solve the relaxed problem by sweeping the index values.
 

@@ -22,8 +22,10 @@ array, and one slot kernel advances all of them:
 Successes are Binomial(served, p_k); successful users reset to age 1
 and every other user ages by one, truncated at l. All rows of a batch
 draw from one Generator, so row r depends on the number of rows as well
-as on the seed. whittle_schedule and step are the per-user versions of
-the same rules.
+as on the seed. Every entry point takes that seed as an int or a
+numpy SeedSequence and hands it to np.random.default_rng, which gives
+an int the stream of SeedSequence(int). whittle_schedule and step are
+the per-user versions of the same rules.
 """
 from __future__ import annotations
 
@@ -100,8 +102,6 @@ def rp_policy(sol: RelaxedSolution) -> PolicyKind:
 class SimRecord:
     """One seeded simulation run."""
 
-    seed: int
-    horizon: int
     per_user_avg_age: float
     per_user_avg_age_trimmed: float
     final_occupancy: OccupancyVector
@@ -279,20 +279,14 @@ def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
         counts = _advance(counts, rng.binomial(served, p_cells), cfg.l)
 
 
-def _rng(seed: int, stream):
-    return np.random.default_rng(
-        stream if stream is not None else np.random.SeedSequence(seed)
-    )
-
-
 def _check_rows(replications: int) -> None:
     if replications < 1:
         raise RangeError(f"replications must be >= 1, got {replications}")
 
 
-def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
-             initial, record_trace: bool = False, stream=None,
-             replications: int | None = None):
+def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
+             seed: int | np.random.SeedSequence, initial,
+             record_trace: bool = False, replications: int | None = None):
     """Run seeded replications and return their averages.
 
     With replications None one replication runs and its SimRecord is
@@ -301,9 +295,7 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
     per-user average age samples the state at slots 0..horizon-1 (the
     initial state is the first sample); the trimmed variant discards the
     first WARMUP_FRACTION of the horizon. final_occupancy is the state
-    after horizon slots. Identical arguments give bit-identical records;
-    stream may carry a pre-derived SeedSequence, otherwise the integer
-    seed is used alone.
+    after horizon slots. Identical arguments give bit-identical records.
     """
     if horizon < 1:
         raise RangeError(f"horizon must be >= 1, got {horizon}")
@@ -316,7 +308,7 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
     tail = np.zeros(rows, dtype=np.int64)
     trace = np.empty((horizon, rows, k * l), dtype=np.int64) if record_trace else None
     for t, counts in enumerate(_paths(cfg, policy, initial, rows,
-                                      _rng(seed, stream))):
+                                      np.random.default_rng(seed))):
         if t == horizon:
             break
         if t < skip:
@@ -329,8 +321,6 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
     for r in range(rows):
         final = counts[r].reshape(k, l)
         records.append(SimRecord(
-            seed=seed,
-            horizon=horizon,
             per_user_avg_age=int(head[r] + tail[r]) / (horizon * n),
             per_user_avg_age_trimmed=int(tail[r]) / ((horizon - skip) * n),
             final_occupancy=OccupancyVector(z=final / n, counts=final, n=n),
@@ -339,10 +329,10 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int, seed: int,
     return records[0] if replications is None else records
 
 
-def hitting_times(cfg: NetworkConfig, initial, epsilon: float, seed: int,
-                  replications: int, cap: int = HITTING_CAP,
-                  sol: RelaxedSolution | None = None,
-                  stream=None) -> list[int | None]:
+def hitting_times(cfg: NetworkConfig, initial, epsilon: float,
+                  seed: int | np.random.SeedSequence, replications: int,
+                  cap: int = HITTING_CAP,
+                  sol: RelaxedSolution | None = None) -> list[int | None]:
     """First slot at which each Whittle replication is within epsilon of z_star.
 
     Euclidean norm over all (class, age) cells; the initial state counts
@@ -362,7 +352,8 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float, seed: int,
     hits: list[int | None] = [None] * replications
     waiting = np.ones(replications, dtype=bool)
     for t, counts in enumerate(_paths(cfg, whittle_policy(), initial,
-                                      replications, _rng(seed, stream))):
+                                      replications,
+                                      np.random.default_rng(seed))):
         inside = np.linalg.norm(counts / cfg.n - z_star, axis=1) <= epsilon
         for r in np.flatnonzero(inside & waiting):
             hits[r] = t
@@ -371,16 +362,16 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float, seed: int,
             return hits
 
 
-def hitting_time(cfg: NetworkConfig, initial, epsilon: float, seed: int,
-                 cap: int = HITTING_CAP, sol: RelaxedSolution | None = None,
-                 stream=None) -> int | None:
+def hitting_time(cfg: NetworkConfig, initial, epsilon: float,
+                 seed: int | np.random.SeedSequence, cap: int = HITTING_CAP,
+                 sol: RelaxedSolution | None = None) -> int | None:
     """hitting_times of a single replication: an int, or None past cap."""
-    return hitting_times(cfg, initial, epsilon, seed, 1, cap=cap, sol=sol,
-                         stream=stream)[0]
+    return hitting_times(cfg, initial, epsilon, seed, 1, cap=cap, sol=sol)[0]
 
 
-def fluid_deviation(cfg: NetworkConfig, horizon: int, seed: int, initial,
-                    sol: RelaxedSolution | None = None, stream=None) -> float:
+def fluid_deviation(cfg: NetworkConfig, horizon: int,
+                    seed: int | np.random.SeedSequence, initial,
+                    sol: RelaxedSolution | None = None) -> float:
     """sup_t ||empirical occupancy - fluid trajectory|| from a shared start.
 
     Runs the Whittle chain and the deterministic fluid iteration from the
@@ -393,7 +384,7 @@ def fluid_deviation(cfg: NetworkConfig, horizon: int, seed: int, initial,
     worst = 0.0
     z_fluid = None
     for t, counts in enumerate(_paths(cfg, whittle_policy(), initial, 1,
-                                      _rng(seed, stream))):
+                                      np.random.default_rng(seed))):
         if t == horizon:
             return worst
         occ = counts[0] / cfg.n

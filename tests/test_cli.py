@@ -1,5 +1,6 @@
 """Command line interface: exit codes, CSV contracts, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,35 @@ def test_hitting_time_rows(tmp_path, capsys):
         assert int(hit) >= 0
 
 
+def stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_simulate_stdout_is_pinned(tmp_path, capsys):
+    # the digest moves with any change to the seeding rule, the RNG
+    # streams, the scheduled sets or the CSV formatting
+    digest = stdout_digest(capsys, [
+        "simulate", "--config", write_config(tmp_path, CHEAP),
+        "--policies", "whittle,greedy_max_age,rp_threshold,uniform_random",
+        "--initial", "star", "--replications", "3", "--horizon", "300",
+        "--seed", "5"])
+    assert digest == (
+        "8ade9dd79402944e21b8fab90385eb2bd48138cc9cadb9ec7611684ea744ce1d"
+    )
+
+
+def test_hitting_time_stdout_is_pinned(tmp_path, capsys):
+    # three replications hit within the cap and one does not
+    digest = stdout_digest(capsys, [
+        "hitting-time", "--config", write_config(tmp_path, CHEAP),
+        "--epsilon", "0.15", "--initial", "maxed", "--replications", "4",
+        "--cap", "40", "--seed", "5"])
+    assert digest == (
+        "1c0f5ffa1fa5b47f5a88bc2781667c892c6bdd1b9a1e0b0c63edeb369f5902a5"
+    )
+
+
 def test_fluid_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     rc = main(["fluid", "--config", cfg_path, "--steps", "200",
@@ -192,6 +222,47 @@ def test_unknown_policy_is_validation_error(tmp_path, capsys):
     rc = main(["simulate", "--config", cfg_path, "--policies", "nope"])
     assert rc == 2
     assert "nope" in stderr_error(capsys)["message"]
+
+
+def test_simulate_drops_empty_policy_entries(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["simulate", "--config", cfg_path, "--policies", "whittle,",
+                 "--horizon", "20"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["whittle"]
+
+
+def test_experiment_drops_empty_policy_entries(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", "12",
+                 "--policies", "whittle,", "--horizon", "20",
+                 "--replications", "1", "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    swept = (tmp_path / "e" / "rows.csv").read_text().strip().splitlines()
+    assert [line.split(",")[2] for line in swept[1:]] == ["whittle"]
+
+
+def test_unwritable_out_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    missing = tmp_path / "missing_dir" / "x.json"
+    assert main(["solve-rp", "--config", cfg_path, "--out", str(missing)]) == 2
+    assert_one_line_range_error(capsys)
+    assert not missing.parent.exists()
+
+
+def test_experiment_out_file_fails_before_simulating(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the output check")
+
+    monkeypatch.setattr("aoisched.cli.simulate", no_simulation)
+    cfg_path = write_config(tmp_path, CHEAP)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", "12",
+                 "--out", str(taken)]) == 2
+    assert_one_line_range_error(capsys)
+    assert taken.read_text() == "not a directory"
 
 
 def test_degenerate_spectrum_is_computation_error(tmp_path, capsys):
@@ -313,6 +384,8 @@ def test_experiment_hitting_column_gated(tmp_path):
     dict(out=None),
     dict(epsilon=float("nan")),
     dict(cap=-1),
+    dict(n_sweep=(12, 12)),
+    dict(policies=("whittle", "whittle")),
 ])
 def test_experiment_validation(tmp_path, kw):
     kw = dict(kw)
