@@ -146,6 +146,17 @@ def _mean_stderr(values) -> tuple[float | None, float | None]:
     return mean, float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
+def _check_policies(names) -> None:
+    """RangeError unless names lists known policies, none of them twice."""
+    if not names:
+        raise RangeError("policy list is empty")
+    for name in names:
+        if name not in POLICY_NAMES:
+            raise RangeError(f"unknown policy {name!r}")
+    if len(set(names)) < len(names):
+        raise RangeError(f"repeated policy in {list(names)}")
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run the sweep and write rows.csv, summary.json, and plot.csv.
 
@@ -159,13 +170,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     if spec.out is None:
         raise RangeError("experiment requires an output directory")
-    if not spec.policies:
-        raise RangeError("policy list is empty")
-    for name in spec.policies:
-        if name not in POLICY_NAMES:
-            raise RangeError(f"unknown policy {name!r}")
-    if len(set(spec.policies)) < len(spec.policies):
-        raise RangeError(f"repeated policy in {list(spec.policies)}")
+    _check_policies(spec.policies)
     if not spec.n_sweep:
         raise RangeError("n sweep is empty")
     if len(set(spec.n_sweep)) < len(spec.n_sweep):
@@ -430,17 +435,20 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Integers of a comma-separated flag, empty entries dropped."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as err:
         raise ParseError(f"bad integer list {text!r}") from err
+    if not values:
+        raise RangeError(f"no integer named in {text!r}")
+    return values
 
 
 def _parse_policies(text: str) -> tuple[str, ...]:
     """Names of a comma-separated --policies flag, empty entries dropped."""
     names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise RangeError(f"no policy named in {text!r}")
+    _check_policies(names)
     return names
 
 

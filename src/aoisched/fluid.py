@@ -49,6 +49,8 @@ AFFINE_TOL = 1e-10
 ROUTE_TOL = 1e-8
 NILPOTENT_TOL = 1e-9
 ZERO_DIST = 1e-14
+# Tail columns per _tail_quotient chunk: its temporaries are (l-1) x this.
+TAIL_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +170,13 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     diagonal apart from that rank-one coupling. The per-class mass
     constraints then eliminate one coordinate per class (age
     l_star_k - 1 for k != m, age l_star_m for the critical class),
-    yielding (q, c) on k*(l-1) coordinates. Each diagonal block of q is
-    built once from its class block of b. The coupling stays rank one:
-    the dropped age l_star_j - 1 of a class j != m is never fully
-    served, so substituting it adds nothing to the critical rows, and
-    the (m, j) block of q is outer(u, v[j]), with u the kept rows of
-    -a_s[:, c0] and v[j] the kept entries of class j's full mask.
+    yielding (q, c) on k*(l-1) coordinates. _class_block writes each
+    diagonal block of q straight into its output, with no l x l flow
+    matrix. The coupling stays rank one: the dropped age l_star_j - 1 of
+    a class j != m is never fully served, so substituting it adds
+    nothing to the critical rows, and the (m, j) block of q is
+    outer(u, v[j]), with u the kept rows of -a_s[:, c0] and v[j] the
+    kept entries of class j's full mask.
     Raises FixedPointError when fluid_step moves z_star or q z + c
     disagrees with fluid_step at z_star (see _check_fixed_point).
     """
@@ -197,25 +200,14 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     ages = np.arange(1, l + 1)
     full = [ages >= f for f in full_from]
     keep = [ages != reduction[k] for k in range(k_cls)]
-    a_z = np.eye(l, k=-1)
-    a_z[-1, -1] = 1.0
-    reset = np.zeros((l, l))
-    reset[0] = 1.0
-    col0 = p_vec[m] * (reset - a_z)[:, sol.l_star[m] - 1]
+    col0 = _flows(ages - 1, sol.l_star[m] - 1, l, p_vec[m])[1]
 
     blocks = []
     c_vec = np.zeros((k_cls, l - 1))
     for k in range(k_cls):
-        a_s = p_vec[k] * (reset - a_z)
-        s = a_s * full[k]
-        if k == m:
-            s -= np.outer(col0, full[k])
-        b_rows = (a_z + s)[keep[k]]
-        # Substituting the dropped coordinate, whose mass is gamma_k
-        # minus the kept ones, into the kept rows.
-        dropped = b_rows[:, reduction[k] - 1]
-        blocks.append(b_rows[:, keep[k]] - dropped[:, None])
-        c_vec[k] = dropped * gamma[k]
+        blk, c_vec[k] = _class_block(p_vec[k], full[k], reduction[k] - 1,
+                                     gamma[k], col0 if k == m else None)
+        blocks.append(blk)
     c_vec[m] += col0[keep[m]] * cfg.alpha
     v = np.array([full[j][keep[j]] for j in range(k_cls)], dtype=float)
     v[m] = 0.0
@@ -233,6 +225,43 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     )
     _check_fixed_point(system, cfg, sol)
     return system
+
+
+def _flows(rows, cols, l: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entries [rows, cols] (broadcast) of the age shift a_z and of a_s."""
+    a_z = ((cols == rows - 1) | ((rows == l - 1) & (cols == l - 1))) * 1.0
+    return a_z, p * ((rows == 0) * 1.0 - a_z)
+
+
+def _class_block(p: float, full: np.ndarray, drop: int, gamma: float,
+                 col0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal block of q for one class, and the class's part of c.
+
+    Substituting the dropped coordinate, whose mass is gamma minus the
+    kept ones, subtracts b's dropped column from its kept columns and
+    adds gamma times it to c. Rows of b other than age 1, age l and the
+    age after the dropped one (the rows that reset, truncate, touch col0
+    or hold the dropped column) are the age shift, scaled by 1 - p on
+    served ages, and go straight onto the block's sub-diagonal. Those
+    three are formed with the dense b's float operations, so every entry
+    matches it bit for bit.
+    """
+    l = full.size
+    blk = np.zeros((l - 1, l - 1))
+    i = np.setdiff1d(np.arange(1, l - 1), [drop, drop + 1])
+    blk[i - (i > drop), i - 1 - (i - 1 > drop)] = np.where(
+        full[i - 1], 1.0 - p, 1.0)
+    rows = np.setdiff1d([0, drop + 1, l - 1], [drop, l])
+    a_z, a_s = _flows(rows[:, None], np.arange(l), l, p)
+    s = a_s * full
+    if col0 is not None:
+        s -= np.outer(col0[rows], full)
+    b = a_z + s
+    at = rows - (rows > drop)
+    blk[at] = np.delete(b, drop, axis=1) - b[:, drop, None]
+    c = np.zeros(l - 1)
+    c[at] = b[:, drop] * gamma
+    return blk, c
 
 
 def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
@@ -291,20 +320,26 @@ def _tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
     (prefix sums of their tail). Then V is invariant and nilpotent under
     the block, whose spectrum is that of the returned (h+1) x (h+1)
     quotient on (head, tail sum) plus one exact zero per dimension of V.
+    Columns are checked TAIL_CHUNK at a time (a chunk's upper part is in
+    its first stop - h rows); prefix sums run down columns and max does
+    not round, so the residuals do not depend on the chunk size.
     """
-    if h >= blk.shape[0]:
+    if h >= len(blk):
         return blk
-    moved = blk[:, h:-1] - blk[:, h + 1:]
-    head = np.abs(moved[:h]).max(initial=0.0)
-    coords = np.cumsum(moved[h:], axis=0)
-    # At most two block-sized temporaries are alive at once.
-    del moved
-    np.abs(coords, out=coords)
+    head = tail = upper = 0.0
+    for start in range(h, len(blk) - 1, TAIL_CHUNK):
+        stop = min(start + TAIL_CHUNK, len(blk) - 1)
+        moved = blk[:, start:stop] - blk[:, start + 1:stop + 1]
+        head = np.maximum(head, np.abs(moved[:h]).max(initial=0.0))
+        coords = np.cumsum(moved[h:], axis=0)
+        np.abs(coords, out=coords)
+        tail = np.maximum(tail, coords[-1].max(initial=0.0))
+        upper = np.maximum(
+            upper, np.triu(coords[:stop - h], h - start).max(initial=0.0))
     residuals = (
         ("head component", head, AFFINE_TOL),
-        ("tail sum", coords[-1].max(initial=0.0), AFFINE_TOL),
-        ("non-nilpotent tail", np.triu(coords[:-1]).max(initial=0.0),
-         NILPOTENT_TOL),
+        ("tail sum", tail, AFFINE_TOL),
+        ("non-nilpotent tail", upper, NILPOTENT_TOL),
     )
     for what, residual, tol in residuals:
         if residual > tol:

@@ -24,8 +24,7 @@ and every other user ages by one, truncated at l. All rows of a batch
 draw from one Generator, so row r depends on the number of rows as well
 as on the seed. Every entry point takes that seed as an int or a
 numpy SeedSequence and hands it to np.random.default_rng, which gives
-an int the stream of SeedSequence(int). whittle_schedule and step are
-the per-user versions of the same rules.
+an int the stream of SeedSequence(int).
 """
 from __future__ import annotations
 
@@ -133,44 +132,6 @@ def _greedy_rank(cfg: NetworkConfig) -> np.ndarray:
     ages = np.arange(1, cfg.l + 1)
     return ((cfg.l - ages)[None, :] * cfg.k
             + np.arange(cfg.k)[:, None]).astype(np.int64)
-
-
-def _top_m(rank_table, ages, cls, m, n, rng=None):
-    uid = np.arange(n) if rng is None else rng.permutation(n)
-    keys = rank_table[cls, ages - 1] * n + uid
-    return np.argpartition(keys, m - 1)[:m]
-
-
-def whittle_schedule(ages, cfg: NetworkConfig, tie_break: str = "deterministic",
-                     rng=None) -> np.ndarray:
-    """The m users with the largest index values, ties by (class, user).
-
-    tie_break="random" replaces the user-id tie-break with a seeded
-    random permutation drawn from rng.
-    """
-    ages = np.asarray(ages)
-    if ages.shape != (cfg.n,):
-        raise ShapeError(f"expected {cfg.n} ages, got {ages.shape}")
-    r = rng if tie_break == "random" else None
-    sel = _top_m(_whittle_rank(cfg), ages, class_ids(cfg), cfg.m, cfg.n, r)
-    return np.sort(sel)
-
-
-def step(ages, scheduled, p_user, l, rng, channel=None):
-    """One slot transition: scheduled successes reset, everyone else ages.
-
-    channel optionally overrides the Bernoulli draws with a per-user
-    boolean success array (used to force failures in tests).
-    """
-    ages = np.asarray(ages)
-    nxt = np.minimum(ages + 1, l)
-    if len(scheduled):
-        if channel is None:
-            ok = rng.random(len(scheduled)) < p_user[scheduled]
-        else:
-            ok = np.asarray(channel)[scheduled]
-        nxt[scheduled[ok]] = 1
-    return nxt
 
 
 def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:

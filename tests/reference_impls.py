@@ -6,9 +6,10 @@ a Python loop over tie groups for the fluid map and the cell ranks, dense
 class block at a time, a dense eigensolve of every undeflated class
 block, damped relative value iteration for the single-user MDP, a
 relaxed solver that recomputes the thresholds of each candidate subsidy
-from scratch, a simulator that follows every user, and a joint-MDP
-solver over every user-age vector. Tests compare the package against
-them; nothing in src/ imports this module.
+from scratch, per-user scheduling and slot rules with a simulator that
+follows every user, and a joint-MDP solver over every user-age vector.
+Tests compare the package against them; nothing in src/ imports this
+module.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from aoisched.errors import ConvergenceError, InfeasibleError, SizeError
+from aoisched.errors import ConvergenceError, InfeasibleError, ShapeError, SizeError
 from aoisched.fluid import NILPOTENT_TOL
 from aoisched.index import TIE_TOL, age_cost, optimal_thresholds, whittle_index_table
 from aoisched.model import OccupancyVector, validate_config
@@ -31,11 +32,9 @@ from aoisched.relaxed import (
 from aoisched.sim import (
     WARMUP_FRACTION,
     _greedy_rank,
-    _top_m,
     _whittle_rank,
     class_ids,
     make_initial_ages,
-    step,
 )
 
 DAMPING = 0.5
@@ -315,6 +314,46 @@ def solve_rp(cfg) -> RelaxedSolution:
     raise InfeasibleError(f"no index candidate brackets the budget alpha={alpha}")
 
 
+def top_m(rank_table, ages, cls, m, n, rng=None):
+    """The m users with the smallest (rank, user id) keys; a permutation
+    drawn from rng replaces the user id when given."""
+    uid = np.arange(n) if rng is None else rng.permutation(n)
+    keys = rank_table[cls, ages - 1] * n + uid
+    return np.argpartition(keys, m - 1)[:m]
+
+
+def whittle_schedule(ages, cfg, tie_break: str = "deterministic",
+                     rng=None) -> np.ndarray:
+    """The m users with the largest index values, ties by (class, user).
+
+    tie_break="random" replaces the user-id tie-break with a seeded
+    random permutation drawn from rng.
+    """
+    ages = np.asarray(ages)
+    if ages.shape != (cfg.n,):
+        raise ShapeError(f"expected {cfg.n} ages, got {ages.shape}")
+    r = rng if tie_break == "random" else None
+    sel = top_m(_whittle_rank(cfg), ages, class_ids(cfg), cfg.m, cfg.n, r)
+    return np.sort(sel)
+
+
+def step(ages, scheduled, p_user, l, rng, channel=None):
+    """One per-user slot: scheduled successes reset, everyone else ages.
+
+    channel optionally overrides the Bernoulli draws with a per-user
+    boolean success array (used to force failures in tests).
+    """
+    ages = np.asarray(ages)
+    nxt = np.minimum(ages + 1, l)
+    if len(scheduled):
+        if channel is None:
+            ok = rng.random(len(scheduled)) < p_user[scheduled]
+        else:
+            ok = np.asarray(channel)[scheduled]
+        nxt[scheduled[ok]] = 1
+    return nxt
+
+
 def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, float]:
     """Per-user simulation of one replication: (average age, trimmed).
 
@@ -347,7 +386,7 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
         if t >= skip:
             total_tail += int(ages.sum())
         if policy.kind in ("whittle", "greedy_max_age"):
-            sched = _top_m(rank, ages, cls, m, n)
+            sched = top_m(rank, ages, cls, m, n)
         elif policy.kind == "uniform_random":
             sched = rng.choice(n, size=m, replace=False)
         else:

@@ -242,6 +242,36 @@ def test_experiment_drops_empty_policy_entries(tmp_path, capsys):
     assert [line.split(",")[2] for line in swept[1:]] == ["whittle"]
 
 
+def test_simulate_repeated_policy_fails_before_simulating(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the policy check")
+
+    monkeypatch.setattr("aoisched.cli.simulate", no_simulation)
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["simulate", "--config", cfg_path,
+                 "--policies", "whittle,whittle"]) == 2
+    assert_one_line_range_error(capsys)
+
+
+def test_experiment_drops_empty_n_sweep_entries(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", "12,",
+                 "--policies", "whittle", "--horizon", "20",
+                 "--replications", "1", "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    swept = (tmp_path / "e" / "rows.csv").read_text().strip().splitlines()
+    assert [line.split(",")[1] for line in swept[1:]] == ["12"]
+
+
+def test_experiment_empty_n_sweep_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, CHEAP)
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", " , ",
+                 "--out", str(tmp_path / "e")]) == 2
+    assert_one_line_range_error(capsys)
+    assert not (tmp_path / "e").exists()
+
+
 def test_unwritable_out_is_validation_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     missing = tmp_path / "missing_dir" / "x.json"

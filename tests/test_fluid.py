@@ -1,13 +1,14 @@
 """Fluid map, linearized region dynamics, and spectral stability checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impls as ref
-from aoisched import ClassSpec, NetworkConfig
+from aoisched import ClassSpec, NetworkConfig, fluid
 from aoisched.errors import (
     ConvergenceError,
     DegenerateThresholdError,
@@ -186,6 +187,33 @@ def mutate(blocks, cells):
     return tuple(blocks)
 
 
+def bench_cases(l=500):
+    """The analysis bench's four instances, at l ages."""
+    for alpha, ps in ((0.5, (0.8, 0.2)), (0.25, (0.1, 0.3, 0.7, 0.9)),
+                      (0.1, (0.5, 0.8)), (0.05, (0.2, 0.4, 0.6, 0.8))):
+        yield NetworkConfig(n=400, alpha=alpha, l=l,
+                            classes=tuple(ClassSpec(p=p, gamma=1.0 / len(ps))
+                                          for p in ps))
+
+
+# Tail chunk sizes: one column, chunks that split the tail unevenly, the
+# default and twice it, and one chunk for the whole tail.
+CHUNKS = (1, 7, fluid.TAIL_CHUNK, 2 * fluid.TAIL_CHUNK, 10 ** 6)
+
+
+def test_tail_quotient_does_not_depend_on_chunk(monkeypatch):
+    for cfg in bench_cases():
+        sysm = assemble_linear(cfg, solve_rp(cfg))
+        for k, (blk, f) in enumerate(zip(sysm.blocks, sysm.full_from)):
+            quots = []
+            for chunk in CHUNKS:
+                monkeypatch.setattr(fluid, "TAIL_CHUNK", chunk)
+                quots.append(fluid._tail_quotient(blk, f - 2, k))
+            assert quots[0].shape == (f - 1, f - 1)
+            for quot in quots[1:]:
+                assert np.array_equal(quot, quots[0])
+
+
 @pytest.mark.parametrize("cells", [
     # one tail entry of the non-critical class 0 (first served age 3)
     [(0, 20, 30, 1e-6)],
@@ -196,17 +224,51 @@ def mutate(blocks, cells):
     # tail mass kept in place rather than shifted: column sums unchanged,
     # but the tail is no longer nilpotent
     [(0, 20, 20, 1e-6), (0, 21, 20, -1e-6)],
+    # column 8 starts the second chunk of 7 tail columns (the tail starts
+    # at column 1), so its two differences fall in different chunks
+    [(0, 20, 8, 1e-6)],
 ])
-def test_perturbed_tail_is_rejected(cells):
+def test_perturbed_tail_is_rejected(cells, monkeypatch):
     cfg = two_class_ref()
     sysm = assemble_linear(cfg, solve_rp(cfg))
     assert sysm.full_from == (3, 3) and sysm.m == 1
     spectral_report(sysm)
     broken = dataclasses.replace(sysm, blocks=mutate(sysm.blocks, cells))
-    with pytest.raises(ConvergenceError, match="served tail"):
-        spectral_report(broken)
-    with pytest.raises(ConvergenceError, match="served tail"):
-        spectral_radius(broken)
+    messages = set()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(fluid, "TAIL_CHUNK", chunk)
+        with pytest.raises(ConvergenceError, match="served tail") as err:
+            spectral_report(broken)
+        messages.add(str(err.value))
+        with pytest.raises(ConvergenceError, match="served tail") as err:
+            spectral_radius(broken)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def traced_peak(func, *args):
+    """func(*args) and the bytes it allocated at its peak, beyond what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = func(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_linear_region_memory_is_its_blocks():
+    # no l x l temporaries: assembling costs the blocks it returns, and
+    # certifying them costs less than one of them
+    cfg = list(bench_cases(l=400))[1]
+    sol = solve_rp(cfg)
+    sysm, assembled = traced_peak(assemble_linear, cfg, sol)
+    assert cfg.k == 4
+    blocks = sum(blk.nbytes for blk in sysm.blocks)
+    assert assembled <= 1.1 * blocks
+    _, certified = traced_peak(spectral_report, sysm)
+    assert certified < sysm.blocks[0].nbytes
 
 
 def test_trajectory_contracts_at_spectral_rate():
@@ -310,11 +372,7 @@ def test_fast_paths_match_reference():
     assert worst_c <= 1e-12
     assert worst_step <= 1e-12
     # the analysis bench's four L=500 instances
-    for alpha, ps in ((0.5, (0.8, 0.2)), (0.25, (0.1, 0.3, 0.7, 0.9)),
-                      (0.1, (0.5, 0.8)), (0.05, (0.2, 0.4, 0.6, 0.8))):
-        cfg = NetworkConfig(n=400, alpha=alpha, l=500,
-                            classes=tuple(ClassSpec(p=p, gamma=1.0 / len(ps))
-                                          for p in ps))
+    for cfg in bench_cases():
         sol = solve_rp(cfg)
         assert_blocks_equal_dense_builder(cfg, sol, assemble_linear(cfg, sol))
 

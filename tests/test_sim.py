@@ -19,7 +19,6 @@ from aoisched.sim import (
     _advance,
     _greedy_rank,
     _server,
-    _top_m,
     _whittle_rank,
     class_ids,
     fluid_deviation,
@@ -29,11 +28,10 @@ from aoisched.sim import (
     make_initial_ages,
     rp_policy,
     simulate,
-    step,
     uniform_policy,
     whittle_policy,
-    whittle_schedule,
 )
+from reference_impls import step, top_m, whittle_schedule
 
 
 def one_class(p, l, alpha, n):
@@ -369,7 +367,7 @@ def test_kernel_serves_the_per_user_selection(kind):
             if kind == "whittle":
                 sel = whittle_schedule(ages, cfg)
             else:
-                sel = _top_m(_greedy_rank(cfg), ages, cls, cfg.m, cfg.n)
+                sel = top_m(_greedy_rank(cfg), ages, cls, cfg.m, cfg.n)
             mine = serve(cell_counts(ages, cfg)[None], None)[0]
             theirs = np.bincount(cls[sel] * cfg.l + ages[sel] - 1,
                                  minlength=cfg.k * cfg.l)
