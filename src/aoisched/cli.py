@@ -3,8 +3,9 @@
 One executable with subcommands: solve-rp, simulate, hitting-time,
 fluid, spectral, oracle-check, experiment. Every run is driven by a
 JSON config file plus flags; all randomness flows from --seed. Exit
-codes: 0 success, 2 invalid input, 3 computation failure; failures
-print a one-line JSON error object to stderr.
+codes: 0 success, 2 invalid input, 3 computation failure or a problem
+too large for memory; failures print a one-line JSON error object to
+stderr.
 
 Experiment sweeps write three files into --out: rows.csv with one row
 per (n, policy, replication), summary.json with per-point means and
@@ -37,7 +38,8 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .fluid import assemble_linear, fluid_trajectory, spectral_report
+from .fluid import (assemble_linear, fluid_trajectory, region_margin,
+                    spectral_report)
 from .index import cost_pair, optimal_thresholds, whittle_index_table
 from .model import NetworkConfig, load_config, validate_config
 from .oracle import rvi_one_dim
@@ -391,6 +393,7 @@ def _cmd_spectral(args) -> int:
     sol = solve_rp(cfg)
     report = spectral_report(assemble_linear(cfg, sol))
     report["stable"] = report["rho"] < 1.0
+    report["region_margin"] = region_margin(sol.z_star, cfg, sol)
     _emit(report, args.out)
     return 0
 
@@ -541,16 +544,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as err:
-        sys.stderr.write(json.dumps(
-            {"error": type(err).__name__, "message": str(err)}
-        ) + "\n")
-        return 2
-    except ComputationError as err:
-        sys.stderr.write(json.dumps(
-            {"error": type(err).__name__, "message": str(err)}
-        ) + "\n")
-        return 3
+    except (ValidationError, ComputationError, MemoryError) as err:
+        # numpy raises a MemoryError subclass; report it by the builtin name
+        name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+        sys.stderr.write(json.dumps({"error": name, "message": str(err)}) + "\n")
+        return 2 if isinstance(err, ValidationError) else 3
 
 
 if __name__ == "__main__":

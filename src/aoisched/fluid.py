@@ -22,9 +22,12 @@ The first route deflates each class block before any eigensolve. From
 the first fully served age f_k on, the block acts on sum-zero tail
 vectors as a (1-p_k)-scaled shift, a defective Jordan block whose dense
 eigenvalues would come back as a spurious ring of size about
-(1-p_k) eps**(1/dim). That tail is checked on the block to be invariant
-and nilpotent and contributes exact zeros; only the (f_k - 1)-dimensional
-quotient (head coordinates plus the tail sum) is solved.
+(1-p_k) eps**(1/dim). That tail is checked to be invariant and nilpotent
+and contributes exact zeros; only the (f_k - 1)-dimensional quotient
+(head coordinates plus the tail sum) is solved. A class block is stored
+and checked as its O(l) nonzero numbers, a sub-diagonal and at most
+three dense rows; it is formed whole only to be squared, for a class
+with no fully served age whose entries reach the diagonal.
 """
 from __future__ import annotations
 
@@ -49,8 +52,6 @@ AFFINE_TOL = 1e-10
 ROUTE_TOL = 1e-8
 NILPOTENT_TOL = 1e-9
 ZERO_DIST = 1e-14
-# Tail columns per _tail_quotient chunk: its temporaries are (l-1) x this.
-TAIL_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +60,19 @@ class LinearRegionSystem:
 
     reduction[k] is the 1-based age coordinate eliminated for class k,
     and full_from[k] its first fully served age (l+1 when none is).
-    q is stored by its parts that are not zero: blocks[k] is the
-    (l-1) x (l-1) diagonal block of class k, and the off-diagonal blocks,
-    all in the critical class's block row, are the rank-one
-    outer(u, v[j]). v has one row per class and v[m] is zero; c is flat,
-    class-major like the reduced coordinates.
+    q is stored by its parts that are not zero. The (l-1) x (l-1)
+    diagonal block of class k is the sub-diagonal sub[k] (entry i at
+    (i+1, i), zero on dense rows) plus the dense rows dense[k] at the
+    ascending indices dense_at[k]: age 1, the age after the dropped one
+    and age l, where kept. The off-diagonal blocks, all in the critical
+    class's block row, are the rank-one outer(u, v[j]). v has one row per
+    class and v[m] is zero; c is flat, class-major like the reduced
+    coordinates.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    sub: np.ndarray
+    dense_at: tuple[np.ndarray, ...]
+    dense: tuple[np.ndarray, ...]
     u: np.ndarray
     v: np.ndarray
     c: np.ndarray
@@ -136,6 +142,14 @@ def _region_cells(cfg: NetworkConfig, w_star: float) -> tuple:
     return above, tied
 
 
+def _region_masses(z, cfg: NetworkConfig, sol: RelaxedSolution) -> tuple:
+    """Mass strictly above w_star, and mass at or above it."""
+    zmat = _as_array(z)
+    above_cells, tied_cells = _region_cells(cfg, sol.w_star)
+    above = zmat[above_cells].sum()
+    return above, above + zmat[tied_cells].sum()
+
+
 def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     """Membership in j_wstar, both edges included (closed set).
 
@@ -143,13 +157,17 @@ def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     or above w_star covers alpha, so the scheduled fraction is exactly
     alpha and the partially served cells are the ones tied at w_star.
     """
-    zmat = _as_array(z)
-    above_cells, tied_cells = _region_cells(cfg, sol.w_star)
-    above = zmat[above_cells].sum()
-    at_or_above = above + zmat[tied_cells].sum()
+    above, at_or_above = _region_masses(z, cfg, sol)
     return bool(
         above < cfg.alpha + REGION_TOL and at_or_above >= cfg.alpha - REGION_TOL
     )
+
+
+def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
+    """Margin of z inside j_wstar, negative outside: the smaller of alpha
+    - mass above w_star and mass at or above w_star - alpha."""
+    above, at_or_above = _region_masses(z, cfg, sol)
+    return float(min(cfg.alpha - above, at_or_above - cfg.alpha))
 
 
 def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSystem:
@@ -170,9 +188,9 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     diagonal apart from that rank-one coupling. The per-class mass
     constraints then eliminate one coordinate per class (age
     l_star_k - 1 for k != m, age l_star_m for the critical class),
-    yielding (q, c) on k*(l-1) coordinates. _class_block writes each
-    diagonal block of q straight into its output, with no l x l flow
-    matrix. The coupling stays rank one: the dropped age l_star_j - 1 of
+    yielding (q, c) on k*(l-1) coordinates. _class_block forms each
+    diagonal block of q as its sub-diagonal and dense rows, with no l x l
+    array. The coupling stays rank one: the dropped age l_star_j - 1 of
     a class j != m is never fully served, so substituting it adds
     nothing to the critical rows, and the (m, j) block of q is
     outer(u, v[j]), with u the kept rows of -a_s[:, c0] and v[j] the
@@ -202,20 +220,19 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     keep = [ages != reduction[k] for k in range(k_cls)]
     col0 = _flows(ages - 1, sol.l_star[m] - 1, l, p_vec[m])[1]
 
-    blocks = []
-    c_vec = np.zeros((k_cls, l - 1))
-    for k in range(k_cls):
-        blk, c_vec[k] = _class_block(p_vec[k], full[k], reduction[k] - 1,
-                                     gamma[k], col0 if k == m else None)
-        blocks.append(blk)
+    parts = [_class_block(p_vec[k], full[k], reduction[k] - 1, gamma[k],
+                          col0 if k == m else None) for k in range(k_cls)]
+    sub, dense_at, dense, c_vec = (list(x) for x in zip(*parts))
     c_vec[m] += col0[keep[m]] * cfg.alpha
     v = np.array([full[j][keep[j]] for j in range(k_cls)], dtype=float)
     v[m] = 0.0
     system = LinearRegionSystem(
-        blocks=tuple(blocks),
+        sub=np.array(sub),
+        dense_at=tuple(dense_at),
+        dense=tuple(dense),
         u=-col0[keep[m]],
         v=v,
-        c=c_vec.ravel(),
+        c=np.concatenate(c_vec),
         reduction=reduction,
         full_from=full_from,
         p=tuple(float(x) for x in p_vec),
@@ -234,23 +251,22 @@ def _flows(rows, cols, l: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_block(p: float, full: np.ndarray, drop: int, gamma: float,
-                 col0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal block of q for one class, and the class's part of c.
+                 col0: np.ndarray | None) -> tuple:
+    """(sub, dense_at, dense) of one class's block of q, and its part of c.
 
     Substituting the dropped coordinate, whose mass is gamma minus the
     kept ones, subtracts b's dropped column from its kept columns and
     adds gamma times it to c. Rows of b other than age 1, age l and the
     age after the dropped one (the rows that reset, truncate, touch col0
     or hold the dropped column) are the age shift, scaled by 1 - p on
-    served ages, and go straight onto the block's sub-diagonal. Those
-    three are formed with the dense b's float operations, so every entry
-    matches it bit for bit.
+    served ages: one sub-diagonal entry. Those three are the dense rows,
+    formed with the dense b's float operations, so they match it bit for
+    bit.
     """
     l = full.size
-    blk = np.zeros((l - 1, l - 1))
+    sub = np.zeros(l - 2)
     i = np.setdiff1d(np.arange(1, l - 1), [drop, drop + 1])
-    blk[i - (i > drop), i - 1 - (i - 1 > drop)] = np.where(
-        full[i - 1], 1.0 - p, 1.0)
+    sub[i - 1 - (i - 1 > drop)] = np.where(full[i - 1], 1.0 - p, 1.0)
     rows = np.setdiff1d([0, drop + 1, l - 1], [drop, l])
     a_z, a_s = _flows(rows[:, None], np.arange(l), l, p)
     s = a_s * full
@@ -258,10 +274,9 @@ def _class_block(p: float, full: np.ndarray, drop: int, gamma: float,
         s -= np.outer(col0[rows], full)
     b = a_z + s
     at = rows - (rows > drop)
-    blk[at] = np.delete(b, drop, axis=1) - b[:, drop, None]
     c = np.zeros(l - 1)
     c[at] = b[:, drop] * gamma
-    return blk, c
+    return sub, at, np.delete(b, drop, axis=1) - b[:, drop, None], c
 
 
 def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
@@ -272,14 +287,16 @@ def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
     fluid_step there in reduced coordinates. Both fail when the tie
     group at w_star spans several classes: fluid_step then shares the
     residual budget over the whole group, while z_star and q randomize
-    the critical class alone. q z is taken block by block, plus the
-    coupling u (v . z) in the critical rows.
+    the critical class alone. q z is the sub-diagonal times the shifted
+    z, the dense rows times z, and the coupling u (v . z).
     """
     z_star = sol.z_star.z
     nxt = fluid_step(z_star, cfg).z
     moved = float(np.abs(nxt - z_star).max())
-    parts = reduce_occupancy(z_star, sys).reshape(len(sys.blocks), -1)
-    image = np.array([blk @ part for blk, part in zip(sys.blocks, parts)])
+    parts = reduce_occupancy(z_star, sys).reshape(len(sys.sub), -1)
+    image = np.pad(sys.sub * parts[:, :-1], ((0, 0), (1, 0)))
+    for k, (at, rows) in enumerate(zip(sys.dense_at, sys.dense)):
+        image[k, at] = rows @ parts[k]
     image[sys.m] += sys.u * np.vdot(sys.v, parts)
     affine = float(np.abs(image.ravel() + sys.c
                           - reduce_occupancy(nxt, sys)).max())
@@ -309,37 +326,54 @@ def _closed_form_radius(sys: LinearRegionSystem) -> float:
     return rho
 
 
-def _tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
-    """Deflate a class block onto the quotient by its served tail.
+def _block_rows(sys: LinearRegionSystem, k: int, rows, width: int) -> np.ndarray:
+    """Rows `rows` (ascending) of class k's block, first width columns."""
+    out = np.zeros((rows.size, width))
+    on = (rows >= 1) & (rows <= width)
+    out[on, rows[on] - 1] = sys.sub[k][rows[on] - 1]
+    at = sys.dense_at[k]
+    out[np.isin(rows, at)] = sys.dense[k][np.isin(at, rows), :width]
+    return out
 
-    The block's first h coordinates are the head, ages below the first
-    fully served age; the rest are the tail. With the basis
-    v_i = e_{t_i} - e_{t_{i+1}} of the sum-zero tail vectors V, the
-    columns blk v_i are checked to have no head component, to have a
-    zero tail sum and to have strictly lower triangular V-coordinates
-    (prefix sums of their tail). Then V is invariant and nilpotent under
-    the block, whose spectrum is that of the returned (h+1) x (h+1)
-    quotient on (head, tail sum) plus one exact zero per dimension of V.
-    Columns are checked TAIL_CHUNK at a time (a chunk's upper part is in
-    its first stop - h rows); prefix sums run down columns and max does
-    not round, so the residuals do not depend on the chunk size.
+
+def _tail_quotient(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
+    """Deflate class k's block onto the quotient by its served tail.
+
+    The first h coordinates are the head (ages below the first fully
+    served age), the rest the tail. With the basis
+    v_i = e_{t_i} - e_{t_{i+1}} of the sum-zero tail vectors V, each
+    column blk v_i must have no head component, a zero tail sum and
+    strictly lower triangular V-coordinates (prefix sums of its tail).
+    Then V is invariant and nilpotent, and the block's spectrum is that
+    of the returned (h+1) x (h+1) quotient on (head, tail sum) plus one
+    exact zero per dimension of V. blk v_i has at most five entries, rows
+    i+1 and i+2 of the sub-diagonal and one per dense row; summed in
+    ascending row order they give the dense column's prefix sums bit for
+    bit. The tail-sum row adds rows in that order too, as numpy's axis-0
+    sum does; at h = 0 its one entry sums rows 0, 1 and l-2 alone, which
+    numpy's pairwise sum of one column adds in the same order. With no
+    tail (h >= l-1) the whole dense block is returned.
     """
-    if h >= len(blk):
-        return blk
-    head = tail = upper = 0.0
-    for start in range(h, len(blk) - 1, TAIL_CHUNK):
-        stop = min(start + TAIL_CHUNK, len(blk) - 1)
-        moved = blk[:, start:stop] - blk[:, start + 1:stop + 1]
-        head = np.maximum(head, np.abs(moved[:h]).max(initial=0.0))
-        coords = np.cumsum(moved[h:], axis=0)
-        np.abs(coords, out=coords)
-        tail = np.maximum(tail, coords[-1].max(initial=0.0))
-        upper = np.maximum(
-            upper, np.triu(coords[:stop - h], h - start).max(initial=0.0))
+    d = sys.l - 1
+    if h >= d:
+        return _block_rows(sys, k, np.arange(d), d)
+    at, dense = sys.dense_at[k], sys.dense[k]
+    cols = np.arange(h, d - 1)
+    sub = np.append(sys.sub[k], 0.0)
+    where = np.concatenate(([cols + 1, cols + 2],
+                            np.repeat(at[:, None], cols.size, axis=1)))
+    moved = np.concatenate(([sub[cols], -sub[cols + 1]],
+                            dense[:, cols] - dense[:, cols + 1]))
+    head = np.abs(moved[where < h]).max(initial=0.0)
+    moved[where < h] = 0.0
+    order = np.argsort(where, axis=0, kind="stable")
+    where = np.take_along_axis(where, order, axis=0)
+    coords = np.abs(np.cumsum(np.take_along_axis(moved, order, axis=0), axis=0))
     residuals = (
         ("head component", head, AFFINE_TOL),
-        ("tail sum", tail, AFFINE_TOL),
-        ("non-nilpotent tail", upper, NILPOTENT_TOL),
+        ("tail sum", coords[-1].max(initial=0.0), AFFINE_TOL),
+        ("non-nilpotent tail", coords[where <= cols].max(initial=0.0),
+         NILPOTENT_TOL),
     )
     for what, residual, tol in residuals:
         if residual > tol:
@@ -347,8 +381,9 @@ def _tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
                 f"class {k}: served tail not invariant, {what} residual "
                 f"{residual:.3e}"
             )
-    quot = blk[:h + 1, :h + 1].copy()
-    quot[h] = blk[h:, :h + 1].sum(axis=0)
+    quot = _block_rows(sys, k, np.arange(h + 1), h + 1)
+    tail = np.union1d([h, min(h + 1, d - 1)], at[at >= h])
+    quot[h] = _block_rows(sys, k, tail, h + 1).sum(axis=0)
     return quot
 
 
@@ -356,25 +391,31 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
     """Eigenvalues of q, one deflated diagonal class block at a time.
 
     The only off-diagonal blocks of q, outer(u, v[j]), sit in the
-    critical class's block row, so q is block triangular and its
-    spectrum is the union of sys.blocks' spectra.
+    critical block row, so q's spectrum is that of its class blocks.
     Each block is first deflated by _tail_quotient: from the first fully
     served age f_k on, sum-zero tail vectors are shifted down the ages
     at rate 1-p_k, an exactly nilpotent action that a dense eigensolve
     would return as a spurious ring of size about (1-p_k) eps**(1/dim).
     Those l-f_k dimensions contribute exact zeros and only the
     (f_k-1)-dimensional quotient is solved. The critical class and
-    never-served classes are nilpotent by construction, so their quotient
-    is certified by squaring past the nilpotency index and contributes
-    exact zeros as well.
+    never-served classes are nilpotent by construction. A block with no
+    fully served age whose stored entries all lie strictly below the
+    diagonal is certified as it stands; any other quotient of theirs (the
+    whole dense block when there is no tail) is squared past the
+    nilpotency index.
     """
+    d = sys.l - 1
     parts = []
-    for k, (blk, f) in enumerate(zip(sys.blocks, sys.full_from)):
-        quot = _tail_quotient(blk, f - 2, k)
-        parts.append(np.zeros(len(blk) - len(quot), dtype=complex))
-        if k == sys.m or sys.l_star[k] == sys.l + 1:
-            power = quot
-            exponent = 1
+    for k, f in enumerate(sys.full_from):
+        nilpotent = k == sys.m or sys.l_star[k] == sys.l + 1
+        if nilpotent and f - 2 >= d and not any(
+                row[a:].any() for a, row in zip(sys.dense_at[k], sys.dense[k])):
+            parts.append(np.zeros(d, dtype=complex))
+            continue
+        quot = _tail_quotient(sys, k, f - 2)
+        parts.append(np.zeros(d - len(quot), dtype=complex))
+        if nilpotent:
+            power, exponent = quot, 1
             while exponent < 4 * len(quot):
                 power = power @ power
                 exponent *= 2

@@ -3,8 +3,9 @@
 Each function here is the plain implementation the package once shipped:
 a Python loop over tie groups for the fluid map and the cell ranks, dense
 (k*l) x (k*l) flow matrices for the linear region, a dense q written one
-class block at a time, a dense eigensolve of every undeflated class
-block, damped relative value iteration for the single-user MDP, a
+class block at a time, the served-tail check on dense class blocks, a
+dense eigensolve of every undeflated class block, damped relative value
+iteration for the single-user MDP, a
 relaxed solver that recomputes the thresholds of each candidate subsidy
 from scratch, per-user scheduling and slot rules with a simulator that
 follows every user, and a joint-MDP solver over every user-age vector.
@@ -18,7 +19,7 @@ import itertools
 import numpy as np
 
 from aoisched.errors import ConvergenceError, InfeasibleError, ShapeError, SizeError
-from aoisched.fluid import NILPOTENT_TOL
+from aoisched.fluid import AFFINE_TOL, NILPOTENT_TOL
 from aoisched.index import TIE_TOL, age_cost, optimal_thresholds, whittle_index_table
 from aoisched.model import OccupancyVector, validate_config
 from aoisched.oracle import JOINT_STATE_CAP
@@ -204,12 +205,26 @@ def assemble_linear_blocks(cfg, sol) -> tuple[np.ndarray, np.ndarray]:
     return q, c_vec
 
 
+def dense_blocks(sys) -> list[np.ndarray]:
+    """The (l-1) x (l-1) diagonal class blocks of a LinearRegionSystem:
+    sub-diagonal sys.sub[k], then the rows sys.dense_at[k] from sys.dense[k]."""
+    d = sys.l - 1
+    blocks = []
+    for sub, at, rows in zip(sys.sub, sys.dense_at, sys.dense):
+        blk = np.zeros((d, d))
+        blk[np.arange(1, d), np.arange(d - 1)] = sub
+        blk[at] = rows
+        blocks.append(blk)
+    return blocks
+
+
 def dense_q(sys) -> np.ndarray:
-    """q of a LinearRegionSystem as one dense matrix: sys.blocks on the
-    diagonal plus outer(u, v[j]) in the critical class's block row."""
-    k_cls, d = len(sys.blocks), sys.l - 1
+    """q of a LinearRegionSystem as one dense matrix: dense_blocks(sys) on
+    the diagonal plus outer(u, v[j]) in the critical class's block row."""
+    blocks = dense_blocks(sys)
+    k_cls, d = len(blocks), sys.l - 1
     q = np.zeros((k_cls * d, k_cls * d))
-    for k, blk in enumerate(sys.blocks):
+    for k, blk in enumerate(blocks):
         q[k * d:(k + 1) * d, k * d:(k + 1) * d] = blk
     q[sys.m * d:(sys.m + 1) * d] += np.outer(sys.u, sys.v.ravel())
     return q
@@ -249,7 +264,7 @@ def block_spectrum(sys) -> np.ndarray:
     """
     d = sys.l - 1
     parts = []
-    for k, blk in enumerate(sys.blocks):
+    for k, blk in enumerate(dense_blocks(sys)):
         if k == sys.m or sys.l_star[k] == sys.l + 1:
             power = blk
             exponent = 1
@@ -262,6 +277,37 @@ def block_spectrum(sys) -> np.ndarray:
         else:
             parts.append(np.linalg.eigvals(blk))
     return np.concatenate(parts)
+
+
+def tail_quotient(blk: np.ndarray, h: int, k: int) -> np.ndarray:
+    """Served-tail check and quotient of one dense class block.
+
+    The moved tail columns blk[:, i] - blk[:, i+1] must have no head
+    component, a zero tail sum, and zero prefix sums of their tail on and
+    above the diagonal. Returns blk itself when there is no tail, else
+    the (h+1) x (h+1) quotient on (head, tail sum).
+    """
+    if h >= len(blk):
+        return blk
+    moved = blk[:, h:-1] - blk[:, h + 1:]
+    head = np.abs(moved[:h]).max(initial=0.0)
+    coords = np.abs(np.cumsum(moved[h:], axis=0))
+    tail = coords[-1].max(initial=0.0)
+    upper = np.triu(coords).max(initial=0.0)
+    residuals = (
+        ("head component", head, AFFINE_TOL),
+        ("tail sum", tail, AFFINE_TOL),
+        ("non-nilpotent tail", upper, NILPOTENT_TOL),
+    )
+    for what, residual, tol in residuals:
+        if residual > tol:
+            raise ConvergenceError(
+                f"class {k}: served tail not invariant, {what} residual "
+                f"{residual:.3e}"
+            )
+    quot = blk[:h + 1, :h + 1].copy()
+    quot[h] = blk[h:, :h + 1].sum(axis=0)
+    return quot
 
 
 def solve_rp(cfg) -> RelaxedSolution:

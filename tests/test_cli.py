@@ -16,6 +16,7 @@ from aoisched.cli import (
     run_experiment,
 )
 from aoisched.errors import DuplicateKeyError, ParseError, RangeError
+from aoisched.fluid import region_margin
 from aoisched.relaxed import solve_rp
 
 
@@ -194,6 +195,26 @@ def test_spectral_command(tmp_path, capsys):
     assert payload["stable"] is True
     assert payload["rho"] == pytest.approx(payload["rho_closed_form"], abs=1e-8)
     assert payload["route_agreement"] < 1e-8
+    sol = solve_rp(cheap_config())
+    assert payload["region_margin"] == region_margin(sol.z_star, cheap_config(), sol)
+    assert payload["region_margin"] > 0.0
+
+
+def test_memory_error_is_computation_error(tmp_path, capsys, monkeypatch):
+    # a problem too large for memory (say "l": 1e11) ends in the one-line
+    # JSON error with exit 3, not in numpy's traceback
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr("aoisched.cli.solve_rp", out_of_memory)
+    assert main(["solve-rp", "--config", write_config(tmp_path, CHEAP)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "MemoryError",
+        "message": "Unable to allocate 1.46 TiB for an array",
+    }
 
 
 def test_oracle_check_command(tmp_path, capsys):

@@ -21,6 +21,7 @@ from aoisched.fluid import (
     fluid_trajectory,
     in_region,
     reduce_occupancy,
+    region_margin,
     spectral_radius,
     spectral_report,
 )
@@ -180,13 +181,6 @@ def test_block_spectrum_matches_full_block_reference():
             compared += 1
 
 
-def mutate(blocks, cells):
-    blocks = [blk.copy() for blk in blocks]
-    for k, row, col, delta in cells:
-        blocks[k][row, col] += delta
-    return tuple(blocks)
-
-
 def bench_cases(l=500):
     """The analysis bench's four instances, at l ages."""
     for alpha, ps in ((0.5, (0.8, 0.2)), (0.25, (0.1, 0.3, 0.7, 0.9)),
@@ -196,52 +190,56 @@ def bench_cases(l=500):
                                           for p in ps))
 
 
-# Tail chunk sizes: one column, chunks that split the tail unevenly, the
-# default and twice it, and one chunk for the whole tail.
-CHUNKS = (1, 7, fluid.TAIL_CHUNK, 2 * fluid.TAIL_CHUNK, 10 ** 6)
+def perturb(sysm, cells):
+    """sysm with delta added to stored entries: ("sub", k, i) is sub[k][i],
+    ("dense", k, (r, col)) is row r of dense[k] at column col."""
+    sub = sysm.sub.copy()
+    dense = [rows.copy() for rows in sysm.dense]
+    for part, k, at, delta in cells:
+        if part == "sub":
+            sub[k][at] += delta
+        else:
+            dense[k][at] += delta
+    return dataclasses.replace(sysm, sub=sub, dense=tuple(dense))
 
 
-def test_tail_quotient_does_not_depend_on_chunk(monkeypatch):
-    for cfg in bench_cases():
-        sysm = assemble_linear(cfg, solve_rp(cfg))
-        for k, (blk, f) in enumerate(zip(sysm.blocks, sysm.full_from)):
-            quots = []
-            for chunk in CHUNKS:
-                monkeypatch.setattr(fluid, "TAIL_CHUNK", chunk)
-                quots.append(fluid._tail_quotient(blk, f - 2, k))
-            assert quots[0].shape == (f - 1, f - 1)
-            for quot in quots[1:]:
-                assert np.array_equal(quot, quots[0])
+def reference_tail_checks(sysm):
+    """The dense served-tail check on every materialized class block."""
+    for k, blk in enumerate(ref.dense_blocks(sysm)):
+        ref.tail_quotient(blk, sysm.full_from[k] - 2, k)
 
 
-@pytest.mark.parametrize("cells", [
-    # one tail entry of the non-critical class 0 (first served age 3)
-    [(0, 20, 30, 1e-6)],
-    # a head row picking up a tail column
-    [(0, 0, 30, 1e-6)],
-    # one tail entry of the critical class 1 (first served age 3)
-    [(1, 20, 30, 1e-6)],
-    # tail mass kept in place rather than shifted: column sums unchanged,
-    # but the tail is no longer nilpotent
-    [(0, 20, 20, 1e-6), (0, 21, 20, -1e-6)],
-    # column 8 starts the second chunk of 7 tail columns (the tail starts
-    # at column 1), so its two differences fall in different chunks
-    [(0, 20, 8, 1e-6)],
-])
-def test_perturbed_tail_is_rejected(cells, monkeypatch):
+@pytest.mark.parametrize("cells, residual", [
+    # one tail sub-diagonal entry (27, 26) of the non-critical class 0:
+    # its column and the one before no longer sum to zero
+    ([("sub", 0, 26, 1e-6)], "tail sum"),
+    # the age-1 row (a head row) picking up a tail column
+    ([("dense", 0, (0, 30), 1e-6)], "head component"),
+    # one tail sub-diagonal entry of the critical class 1
+    ([("sub", 1, 26, 1e-6)], "tail sum"),
+    # mass moved from age l to the first tail row (the dense row after
+    # the dropped age), on the diagonal: column sums unchanged, but a
+    # prefix sum on the diagonal is not zero, so the tail is no longer
+    # nilpotent
+    ([("dense", 0, (1, 1), 1e-6), ("dense", 0, (2, 1), -1e-6)],
+     "non-nilpotent tail"),
+    # the same below the diagonal at 2e-9, with a head entry below the
+    # head tolerance in that column: the head must not enter the tail's
+    # prefix sums, or the residual would read 2.010e-09
+    ([("dense", 0, (0, 20), 1e-11), ("dense", 0, (1, 20), 2e-9),
+      ("dense", 0, (2, 20), -2e-9)], "non-nilpotent tail residual 2.000e-09"),
+], ids=[f"cells{i}" for i in range(5)])
+def test_perturbed_tail_is_rejected(cells, residual):
     cfg = two_class_ref()
     sysm = assemble_linear(cfg, solve_rp(cfg))
     assert sysm.full_from == (3, 3) and sysm.m == 1
+    assert [at.tolist() for at in sysm.dense_at] == [[0, 1, 48]] * 2
     spectral_report(sysm)
-    broken = dataclasses.replace(sysm, blocks=mutate(sysm.blocks, cells))
+    broken = perturb(sysm, cells)
     messages = set()
-    for chunk in CHUNKS:
-        monkeypatch.setattr(fluid, "TAIL_CHUNK", chunk)
-        with pytest.raises(ConvergenceError, match="served tail") as err:
-            spectral_report(broken)
-        messages.add(str(err.value))
-        with pytest.raises(ConvergenceError, match="served tail") as err:
-            spectral_radius(broken)
+    for check in (spectral_report, spectral_radius, reference_tail_checks):
+        with pytest.raises(ConvergenceError, match=f"served tail.*{residual}") as err:
+            check(broken)
         messages.add(str(err.value))
     assert len(messages) == 1
 
@@ -259,16 +257,56 @@ def traced_peak(func, *args):
 
 
 def test_linear_region_memory_is_its_blocks():
-    # no l x l temporaries: assembling costs the blocks it returns, and
-    # certifying them costs less than one of them
-    cfg = list(bench_cases(l=400))[1]
+    # blocks stored in O(l): at L=3000, K=4 dense blocks alone would take
+    # 288 MB, while assembling and certifying each stay within 4 MB
+    cfg = list(bench_cases(l=3000))[1]
     sol = solve_rp(cfg)
     sysm, assembled = traced_peak(assemble_linear, cfg, sol)
     assert cfg.k == 4
-    blocks = sum(blk.nbytes for blk in sysm.blocks)
-    assert assembled <= 1.1 * blocks
+    assert assembled <= 4e6
     _, certified = traced_peak(spectral_report, sysm)
-    assert certified < sysm.blocks[0].nbytes
+    assert certified <= 4e6
+
+
+@pytest.mark.parametrize("alpha, ps, l", [
+    # class 0 is never served and is not the critical class
+    (0.02, (0.01, 0.99), 200),
+    # the critical class 0 is never fully served
+    (0.02, (0.02, 0.9), 1000),
+])
+def test_block_without_served_tail_is_not_formed(alpha, ps, l):
+    # such a block is strictly lower triangular as stored, so it is
+    # certified nilpotent without forming or squaring the (l-1)^2 block
+    cfg = NetworkConfig(n=400, alpha=alpha, l=l, classes=tuple(
+        ClassSpec(p=p, gamma=0.5) for p in ps))
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    assert sysm.full_from[0] == l + 1
+    report, certified = traced_peak(spectral_report, sysm)
+    assert certified < 8 * (l - 1) ** 2 / 4
+    assert report["route_agreement"] < 1e-12
+    # a one-column tail sends the whole block down the squaring route
+    assert report == spectral_report(
+        dataclasses.replace(sysm, full_from=(l, sysm.full_from[1])))
+
+
+def test_block_reaching_its_diagonal_is_squared():
+    # a never-served block with an entry on its diagonal is not certified
+    # by its shape; squaring finds the eigenvalue 1 that entry adds
+    cfg = NetworkConfig(n=400, alpha=0.02, l=200, classes=(
+        ClassSpec(p=0.01, gamma=0.5), ClassSpec(p=0.99, gamma=0.5)))
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    assert sysm.m == 1 and sysm.dense_at[0].tolist() == [0]
+    with pytest.raises(ConvergenceError, match="class 0: expected nilpotent"):
+        spectral_report(perturb(sysm, [("dense", 0, (0, 0), 1.0)]))
+
+
+def test_region_margin_at_z_star():
+    for ps, margin in (((0.5, 0.8), 0.05), ((0.8, 0.2), 1.0 / 130)):
+        cfg = NetworkConfig(n=100, alpha=0.5, l=50, classes=tuple(
+            ClassSpec(p=p, gamma=0.5) for p in ps))
+        sol = solve_rp(cfg)
+        assert region_margin(sol.z_star, cfg, sol) == pytest.approx(
+            margin, rel=0, abs=1e-12)
 
 
 def test_trajectory_contracts_at_spectral_rate():
@@ -331,13 +369,21 @@ def assert_blocks_equal_dense_builder(cfg, sol, sysm):
     q, c = ref.assemble_linear_blocks(cfg, sol)
     assert np.array_equal(ref.dense_q(sysm), q)
     assert np.array_equal(sysm.c, c)
+    # the served-tail quotients from the stored entries, against the
+    # dense check on the materialized blocks, bit for bit
+    for k, blk in enumerate(ref.dense_blocks(sysm)):
+        h = sysm.full_from[k] - 2
+        quot = fluid._tail_quotient(sysm, k, h)
+        expected = ref.tail_quotient(blk, h, k)
+        assert quot.shape == expected.shape
+        assert quot.tobytes() == expected.tobytes()
 
 
 def test_fast_paths_match_reference():
     # q and c from per-class blocks plus the rank-one coupling, and
     # fluid_step from one cumsum over the tie groups, against the
-    # dense-matrix and group-loop references; q and c also equal the
-    # dense block-by-block builder bit for bit
+    # dense-matrix and group-loop references; q, c and the served-tail
+    # quotients also equal the dense block-by-block builder bit for bit
     accepted = 0
     worst_q = worst_c = worst_step = 0.0
     for cfg, rng in random_configs(20260819):
