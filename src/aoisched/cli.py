@@ -482,10 +482,26 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _report(name: str, message: str) -> None:
+    """Write the one-line JSON error object to stderr."""
+    sys.stderr.write(json.dumps({"error": name, "message": message}) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a ParseError and exits 2.
+
+    Subparsers are built from the same class, so every subcommand does.
+    """
+
+    def error(self, message):
+        _report("ParseError", f"{self.prog}: {message}")
+        raise SystemExit(2)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aoisched",
         description="Age-minimizing scheduling: relaxed optimum, fluid "
                     "stability, and Monte Carlo experiments.",
@@ -547,7 +563,7 @@ def main(argv=None) -> int:
     except (ValidationError, ComputationError, MemoryError) as err:
         # numpy raises a MemoryError subclass; report it by the builtin name
         name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
-        sys.stderr.write(json.dumps({"error": name, "message": str(err)}) + "\n")
+        _report(name, str(err))
         return 2 if isinstance(err, ValidationError) else 3
 
 

@@ -14,7 +14,10 @@ array, and one slot kernel advances all of them:
   against m. Cells that share a rank, a class's (l-1, l) truncation tie,
   are served in ascending age; every split of them has the same law,
   because an unsuccessful user of either cell moves to age l.
-* uniform_random serves a multivariate hypergeometric sample of m users.
+* uniform_random serves a multivariate hypergeometric sample of m users
+  by one of two exact draws (see _server): up to UNIFORM_PERMUTE_MAX_N
+  users, a row-wise permutation of the batch's R*n cell ids, one per
+  user; above it, one multivariate_hypergeometric call per row.
 * rp_threshold schedules users independently: Binomial(count, coin) of
   each cell, with coin 1 at or above a class's upper threshold and the
   relaxed.rp_coin probability on its randomized ages.
@@ -43,6 +46,12 @@ HITTING_CAP = 10 ** 6
 WARMUP_FRACTION = 0.1
 
 POLICY_NAMES = ("whittle", "greedy_max_age", "rp_threshold", "uniform_random")
+# Largest n at which uniform_random draws by permuting cell ids. One
+# serve call with k*l = 100 cells (2 vCPUs, numpy 2.4): with 8 rows the
+# permutation took 46-66 us at n = 320, 123-163 us at 1000 and 169-256
+# us at 1500, against 166-239 us for the per-row loop at n = 320-2000;
+# with 16 rows 272-329 us at 1000 and 461-525 us at 1500 against 310-480.
+UNIFORM_PERMUTE_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,17 @@ def _rp_coins(cfg: NetworkConfig, policy: PolicyKind) -> np.ndarray:
 
 
 def _server(cfg: NetworkConfig, policy: PolicyKind):
-    """The policy's rule on counts: serve(counts, rng) -> served per cell."""
+    """The policy's rule on counts: serve(counts, rng) -> served per cell.
+
+    uniform_random has two exact draws of one multivariate hypergeometric
+    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the (R, k*l) counts
+    to R*n cell ids, one per user, shuffles each row and serves its first
+    m ids, since the first m entries of a uniform permutation are a
+    uniform m-subset; time and memory are O(R*n). Above the cutoff it
+    makes one Generator.multivariate_hypergeometric call per row, whose
+    cost does not grow with n; the permutation overtakes it between
+    n = 1000 and 1500 at k*l = 100. The two draws give different streams.
+    """
     m = cfg.m
     if policy.kind in ("whittle", "greedy_max_age"):
         rank = _whittle_rank(cfg) if policy.kind == "whittle" else _greedy_rank(cfg)
@@ -198,6 +217,13 @@ def _server(cfg: NetworkConfig, policy: PolicyKind):
             served = np.empty_like(counts)
             served[:, order] = np.minimum(np.maximum(left, 0), ranked)
             return served
+    elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
+        def serve(counts, rng):
+            # Every row sums to n, so row r's n ids are its own cells.
+            ids = np.repeat(np.arange(counts.size), counts.ravel())
+            kept = rng.permuted(ids.reshape(len(counts), -1), axis=1)[:, :m]
+            return np.bincount(kept.ravel(), minlength=counts.size).reshape(
+                counts.shape)
     elif policy.kind == "uniform_random":
         def serve(counts, rng):
             return np.array([rng.multivariate_hypergeometric(row, m)

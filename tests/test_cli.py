@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoisched
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.cli import (
     CSV_HEADER,
@@ -117,14 +122,15 @@ def stdout_digest(capsys, argv):
 
 def test_simulate_stdout_is_pinned(tmp_path, capsys):
     # the digest moves with any change to the seeding rule, the RNG
-    # streams, the scheduled sets or the CSV formatting
+    # streams, the scheduled sets or the CSV formatting; it last moved
+    # with uniform_random's permutation draw at small n
     digest = stdout_digest(capsys, [
         "simulate", "--config", write_config(tmp_path, CHEAP),
         "--policies", "whittle,greedy_max_age,rp_threshold,uniform_random",
         "--initial", "star", "--replications", "3", "--horizon", "300",
         "--seed", "5"])
     assert digest == (
-        "8ade9dd79402944e21b8fab90385eb2bd48138cc9cadb9ec7611684ea744ce1d"
+        "c6b184eae9dd116fd9af0ceca1a8ce55eaf8a5c04492c08e047b4f8e7cc71942"
     )
 
 
@@ -359,12 +365,38 @@ def test_experiment_hitting_column_matches_hitting_time(tmp_path, capsys):
     assert summary["cap"] == 40
 
 
+def parser_error(capsys, argv):
+    # argparse rejections exit 2 with exactly one JSON line on stderr
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"} and err["error"] == "ParseError"
+    return err["message"]
+
+
 def test_negative_seed_rejected_by_parser(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", cfg_path, "--seed", "-1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    message = parser_error(capsys, ["simulate", "--config", cfg_path, "--seed", "-1"])
+    assert "--seed" in message and "-1" in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon", "ten"],
+    ["experiment", "--n-sweep", "12", "--replications", "1.5"],
+    ["simulate", "--initial", "nowhere"],
+    ["simulate"],
+    ["no-such-command"],
+    [],
+])
+def test_parser_rejections_are_one_json_line(tmp_path, capsys, argv):
+    if argv[1:]:
+        argv = argv[:1] + ["--config", write_config(tmp_path, CHEAP)] + argv[1:]
+    parser_error(capsys, argv)
 
 
 def test_parser_reused_across_calls(tmp_path, capsys):
@@ -373,12 +405,25 @@ def test_parser_reused_across_calls(tmp_path, capsys):
     cfg_path = write_config(tmp_path, CHEAP)
     assert main(["solve-rp", "--config", cfg_path]) == 0
     first = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main(["solve-rp", "--config", cfg_path, "--bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert "--bogus" in parser_error(
+        capsys, ["solve-rp", "--config", cfg_path, "--bogus"])
     assert main(["solve-rp", "--config", cfg_path]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # python -m aoisched runs from a checkout without the RuntimeWarning
+    # that python -m aoisched.cli prints
+    src = str(Path(aoisched.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoisched", "solve-rp",
+         "--config", write_config(tmp_path, CHEAP)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["c_rp"] == solve_rp(cheap_config()).c_rp
 
 
 def experiment_spec(out, **kw):

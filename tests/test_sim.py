@@ -15,6 +15,7 @@ from aoisched.index import service_order
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
     POLICY_NAMES,
+    UNIFORM_PERMUTE_MAX_N,
     PolicyKind,
     _advance,
     _greedy_rank,
@@ -189,8 +190,9 @@ def test_whittle_rank_matches_group_loop_reference():
 def test_experiment_rows_are_pinned(tmp_path):
     # rows.csv of a tie-heavy sweep over all four policies; the digest
     # moves with any change to the RNG streams or the scheduled sets.
-    # It last moved when the count kernel replaced the per-user loops
-    # (one generator per (n, policy) batch, per-cell draws).
+    # It last moved when uniform_random at n <= UNIFORM_PERMUTE_MAX_N
+    # began to draw by a row-wise permutation (same law, new stream);
+    # the rows of the other three policies did not change.
     run_experiment(ExperimentSpec(
         base=tie_heavy(), n_sweep=(12, 24),
         policies=("whittle", "greedy_max_age", "rp_threshold", "uniform_random"),
@@ -199,7 +201,7 @@ def test_experiment_rows_are_pinned(tmp_path):
     ))
     digest = hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()
     assert digest == (
-        "bee856472c15f849a644b54b6c2ad05b33d6c5112839b61d93af216713b6078f"
+        "e1a44bc2c013fedc2401265838d476b4730fc3cdb544814fe028eff8bd2f72fb"
     )
 
 
@@ -463,7 +465,14 @@ def test_kernel_mean_age_matches_per_user_reference(name):
     # same start, same horizon, 200 replications each: the two estimate
     # the same expectation, so their means agree within 3 standard errors
     reps, horizon = 200, 100
-    for cfg, fill in ((mixed_ref(), 1), (tie_heavy(), 8), (truncation_tie(), 1)):
+    cases = [(mixed_ref(), 1), (tie_heavy(), 8), (truncation_tie(), 1)]
+    if name == "uniform_random":
+        # above UNIFORM_PERMUTE_MAX_N: the per-row hypergeometric draw
+        assert UNIFORM_PERMUTE_MAX_N < 1200
+        cases.append((NetworkConfig(
+            n=1200, alpha=0.25, l=8,
+            classes=(ClassSpec(p=0.3, gamma=0.5), ClassSpec(p=0.8, gamma=0.5))), 1))
+    for cfg, fill in cases:
         pol = policy_named(name, cfg)
         init = np.full(cfg.n, fill, dtype=int)
         mine = [rec.per_user_avg_age for rec in
@@ -472,6 +481,33 @@ def test_kernel_mean_age_matches_per_user_reference(name):
                   for seed in range(reps)]
         se = np.hypot(np.std(mine, ddof=1), np.std(theirs, ddof=1)) / np.sqrt(reps)
         assert abs(np.mean(mine) - np.mean(theirs)) <= 3 * se, (name, cfg)
+
+
+@pytest.mark.parametrize("n", [20, 320, 10_000])
+def test_uniform_serve_is_multivariate_hypergeometric(n):
+    # One slot from fixed counts, by the permutation draw (n <= cutoff)
+    # or the per-row loop (n > cutoff). Each cell's served count is
+    # hypergeometric with mean m*c/n and variance
+    # m*(c/n)*(1 - c/n)*(n - m)/(n - 1); the mean over the rows lies
+    # within 4 standard errors of that mean.
+    cfg = NetworkConfig(
+        n=n, alpha=0.25, l=10,
+        classes=(ClassSpec(p=0.5, gamma=0.5), ClassSpec(p=0.8, gamma=0.5)))
+    rng = np.random.default_rng(21)
+    counts = np.concatenate([rng.multinomial(n // 2, rng.dirichlet(np.ones(cfg.l)))
+                             for _ in range(cfg.k)])
+    rows = 4000
+    served = _server(cfg, uniform_policy())(np.tile(counts, (rows, 1)), rng)
+    assert served.shape == (rows, cfg.k * cfg.l)
+    assert (served.sum(axis=1) == cfg.m).all()
+    assert ((served >= 0) & (served <= counts)).all()
+    share = counts / n
+    mean = cfg.m * share
+    var = cfg.m * share * (1 - share) * (n - cfg.m) / (n - 1)
+    se = np.sqrt(var / rows)
+    assert (np.abs(served.mean(axis=0) - mean) <= 4 * se).all()
+    # the cases straddle the cutoff, so both draws are checked
+    assert 320 <= UNIFORM_PERMUTE_MAX_N < 10_000
 
 
 @pytest.mark.parametrize("n", [20, 2000])
