@@ -1,12 +1,14 @@
 """Deterministic fluid-limit dynamics of the occupancy vector.
 
-fluid_step applies the one-slot expectation map: cells (class, age) are
-served in decreasing order of their index value until the budget alpha
-is spent, ties sharing the residual budget proportionally to their mass,
-and every class then ages or resets with its own success probability.
+fluid_step applies the one-slot expectation map of the simulator's slot
+kernel: cells (class, age) are served in decreasing order of their index
+value until the budget alpha is spent, a tie group class by class and
+then by age, by the kernel's own serve function on real masses, and
+every class then ages or resets with its own success probability.
 
 Inside the region j_wstar, where the budget saturates exactly around the
-critical index value w_star, the map is affine. assemble_linear builds
+critical index value w_star, the map is affine (only near z_star when
+the tie group at w_star spans several classes). assemble_linear builds
 that affine map explicitly: one coordinate per class is eliminated
 through the per-class mass constraint (the age l_star_k - 1 coordinate
 for k != m, age l_star_m for the critical class), giving z' = Q z + c on
@@ -43,9 +45,10 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .index import TIE_TOL, service_order, whittle_index_table
+from .index import TIE_TOL, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution
+from .sim import _advance, _serve_in_order, _whittle_order
 
 REGION_TOL = 1e-12
 AFFINE_TOL = 1e-10
@@ -102,33 +105,23 @@ def _as_array(z) -> np.ndarray:
 
 
 def fluid_step(z, cfg: NetworkConfig) -> OccupancyVector:
-    """One slot of the fluid dynamics; total on the occupancy simplex.
+    """One slot of the fluid dynamics: the slot kernel's expected slot.
 
-    The tie groups of index.service_order are served best first: each
-    group gets the smaller of its mass and the budget the groups before
-    it left, shared by its cells in proportion to their mass. Served
-    mass then resets to age 1 with its class's success probability and
-    everything else ages, truncated at l.
+    Masses are served by the kernel's own rule, sim._serve_in_order in
+    Whittle order: index descending, a tie group class by class in
+    ascending class order, then by ascending age, each cell getting the
+    smaller of its mass and the budget alpha the cells before it left.
+    p_k times the served mass are the expected successes, and
+    sim._advance, linear in them, resets them to age 1 and ages the
+    rest, truncated at l. Total on the occupancy simplex.
     """
     zmat = _as_array(z)
     if zmat.shape != (cfg.k, cfg.l):
         raise ShapeError(f"occupancy shape {zmat.shape} != {(cfg.k, cfg.l)}")
-    order, group = service_order(tuple(cfg.p_vector()), cfg.l)
-    flat = zmat.ravel()
-    mass = np.bincount(group, weights=flat[order])
-    # Budget left before each group, subtracted in service order.
-    left = np.cumsum(np.concatenate(([cfg.alpha], -mass[:-1])))
-    served = np.clip(left, 0.0, mass)
-    share = np.divide(served, mass, out=np.zeros_like(mass), where=mass > 0.0)
-    frac = np.empty_like(flat)
-    frac[order] = share[group]
-    sched = (frac * flat).reshape(cfg.k, cfg.l)
-    p = cfg.p_vector()[:, None]
-    nxt = np.empty_like(zmat)
-    nxt[:, 0] = (p[:, 0] * sched.sum(axis=1))
-    nxt[:, 1:] = zmat[:, :-1] - p * sched[:, :-1]
-    nxt[:, -1] += zmat[:, -1] - p[:, 0] * sched[:, -1]
-    return OccupancyVector(z=nxt)
+    flat = zmat.reshape(1, -1)
+    served = _serve_in_order(flat, cfg.alpha, _whittle_order(cfg))
+    nxt = _advance(flat, served * np.repeat(cfg.p_vector(), cfg.l), cfg.l)
+    return OccupancyVector(z=nxt.reshape(zmat.shape))
 
 
 @lru_cache(maxsize=32)
@@ -173,11 +166,14 @@ def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
 def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSystem:
     """Build the affine map of the linear region from the flow structure.
 
-    The full-coordinate update inside j_wstar is affine: cells above
-    w_star are fully served, the critical class's first tied cell c0
+    Near z_star the full-coordinate update is affine: the cells fully
+    served at z_star stay so, the critical class's first tied cell c0
     carries the residual alpha minus the fully-served mass, and every
-    other cell idles. The class flows only see tied sums, so this
-    matches the proportional rule on the region. Per class the flows are
+    other cell idles. This is fluid_step's rule: solve_rp flips tied
+    classes in class order, so on a tie group at w_star the classes
+    before m are fully served, m partly and those after m not at all,
+    the order in which the kernel serves the group. Without a
+    cross-class tie it holds on all of j_wstar. Per class the flows are
     z' = a_z z + a_s s, with a_z the truncated age shift and a_s the
     reset of served mass to age 1 at rate p_k, so the full-coordinate
     map is z' = b z + alpha a_s[:, c0] with
@@ -284,11 +280,10 @@ def _check_fixed_point(sys: LinearRegionSystem, cfg: NetworkConfig,
     """Check on the numbers that the certificate is about the fluid map.
 
     z_star must be a fixed point of fluid_step, and q z + c must equal
-    fluid_step there in reduced coordinates. Both fail when the tie
-    group at w_star spans several classes: fluid_step then shares the
-    residual budget over the whole group, while z_star and q randomize
-    the critical class alone. q z is the sub-diagonal times the shifted
-    z, the dense rows times z, and the coupling u (v . z).
+    fluid_step there in reduced coordinates; a failure means that
+    z_star, q and fluid_step do not share one service rule. q z is the
+    sub-diagonal times the shifted z, the dense rows times z, and the
+    coupling u (v . z).
     """
     z_star = sol.z_star.z
     nxt = fluid_step(z_star, cfg).z

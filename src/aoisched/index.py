@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,26 +95,6 @@ def whittle_index_table(p: np.ndarray, l: int) -> np.ndarray:
     pv = np.asarray(p, dtype=float).reshape(-1, 1)
     ages = np.arange(1, l + 1, dtype=float)
     return ages * (ages - 1.0) * pv / 2.0 + ages - ages * (1.0 - pv) ** (l - ages)
-
-
-@lru_cache(maxsize=32)
-def service_order(p: tuple[float, ...], l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (class, age) cells in decreasing index order, with tie groups.
-
-    Cells are flat indices k*l + age - 1 into whittle_index_table(p, l).
-    order lists them by decreasing index value, stable so equal values
-    keep class-major order; group[j] is the tie group of cell order[j],
-    counting up from 0, and a new group starts wherever two adjacent
-    values in that order differ by more than TIE_TOL. Both arrays are
-    read-only because the cache hands them to every caller.
-    """
-    flat = whittle_index_table(np.array(p), l).ravel()
-    order = np.argsort(-flat, kind="stable")
-    steps = -np.diff(flat[order]) > TIE_TOL
-    group = np.concatenate(([0], np.cumsum(steps)))
-    order.setflags(write=False)
-    group.setflags(write=False)
-    return order, group
 
 
 def stationary_distribution(n: int, p: float, l: int) -> np.ndarray:

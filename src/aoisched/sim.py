@@ -8,12 +8,14 @@ Markov chain with the law of the per-user system for every statistic
 reported here. R replications are the rows of one (R, k*l) integer
 array, and one slot kernel advances all of them:
 
-* whittle and greedy_max_age serve m users per row: cells in ascending
-  _whittle_rank / _greedy_rank order (index or age descending, then
-  class ascending), the budget left before each cell found by a cumsum
-  against m. Cells that share a rank, a class's (l-1, l) truncation tie,
-  are served in ascending age; every split of them has the same law,
-  because an unsuccessful user of either cell moves to age l.
+* whittle and greedy_max_age serve m users per row by _serve_in_order:
+  cells in ascending _whittle_rank / _greedy_rank order (index or age
+  descending, then class ascending), the budget left before each cell
+  found by a cumsum against m. Cells that share a rank, a class's
+  (l-1, l) truncation tie, are served in ascending age; every split of
+  them has the same law, because an unsuccessful user of either cell
+  moves to age l. fluid.fluid_step is the same rule on real masses,
+  with budget alpha, so it is the kernel's expected whittle slot.
 * uniform_random serves a multivariate hypergeometric sample of m users
   by one of two exact draws (see _server): up to UNIFORM_PERMUTE_MAX_N
   users, a row-wise permutation of the batch's R*n cell ids, one per
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .index import service_order
+from .index import TIE_TOL, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution, rp_coin
 
@@ -124,15 +126,18 @@ def class_ids(cfg: NetworkConfig) -> np.ndarray:
 def _whittle_rank(cfg: NetworkConfig) -> np.ndarray:
     """Rank of each (class, age) cell under (index desc, class asc).
 
-    Cells tied in index value share a rank group, so the final user key
-    (rank, user id) implements the documented (class, user) tie-break.
+    The package's one cell service order, used by the slot kernel and
+    fluid_step. Cells sorted by index value fall into tie groups, a new
+    group wherever adjacent values differ by more than TIE_TOL; rank is
+    group * k + class, so the final user key (rank, user id) implements
+    the documented (class, user) tie-break.
     """
-    order, group_sorted = service_order(tuple(cfg.p_vector()), cfg.l)
+    flat = whittle_index_table(cfg.p_vector(), cfg.l).ravel()
+    order = np.argsort(-flat, kind="stable")
+    steps = np.diff(flat[order], prepend=flat[order[0]]) < -TIE_TOL
     group = np.empty(order.size, dtype=np.int64)
-    group[order] = group_sorted
-    ranks = (group.reshape(cfg.k, cfg.l) * cfg.k
-             + np.arange(cfg.k)[:, None])
-    return np.ascontiguousarray(ranks)
+    group[order] = np.cumsum(steps)
+    return group.reshape(cfg.k, cfg.l) * cfg.k + np.arange(cfg.k)[:, None]
 
 
 @lru_cache(maxsize=32)
@@ -141,6 +146,29 @@ def _greedy_rank(cfg: NetworkConfig) -> np.ndarray:
     ages = np.arange(1, cfg.l + 1)
     return ((cfg.l - ages)[None, :] * cfg.k
             + np.arange(cfg.k)[:, None]).astype(np.int64)
+
+
+@lru_cache(maxsize=32)
+def _whittle_order(cfg: NetworkConfig) -> np.ndarray:
+    """Flat cells in ascending _whittle_rank, ascending age within a rank."""
+    order = np.argsort(_whittle_rank(cfg).ravel(), kind="stable")
+    order.setflags(write=False)
+    return order
+
+
+def _serve_in_order(amounts: np.ndarray, budget, order: np.ndarray) -> np.ndarray:
+    """Serve each row's cells one by one in `order` until budget is spent.
+
+    amounts is (rows, k*l): user counts or real masses. A cell gets the
+    smaller of its own amount and the budget the cells before it left,
+    clip(budget - cumsum + own, 0, own) in service order, so at most one
+    cell per row is partly served.
+    """
+    ranked = amounts[:, order]
+    left = budget - np.cumsum(ranked, axis=1) + ranked
+    served = np.empty_like(amounts)
+    served[:, order] = np.minimum(np.maximum(left, 0), ranked)
+    return served
 
 
 def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
@@ -207,16 +235,11 @@ def _server(cfg: NetworkConfig, policy: PolicyKind):
     """
     m = cfg.m
     if policy.kind in ("whittle", "greedy_max_age"):
-        rank = _whittle_rank(cfg) if policy.kind == "whittle" else _greedy_rank(cfg)
-        order = np.argsort(rank.ravel(), kind="stable")
+        order = (_whittle_order(cfg) if policy.kind == "whittle"
+                 else np.argsort(_greedy_rank(cfg).ravel(), kind="stable"))
 
         def serve(counts, rng):
-            ranked = counts[:, order]
-            # Budget left before each cell, in service order.
-            left = m - np.cumsum(ranked, axis=1) + ranked
-            served = np.empty_like(counts)
-            served[:, order] = np.minimum(np.maximum(left, 0), ranked)
-            return served
+            return _serve_in_order(counts, m, order)
     elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
         def serve(counts, rng):
             # Every row sums to n, so row r's n ids are its own cells.

@@ -1,14 +1,16 @@
 """Straightforward reference versions of the package's fast paths.
 
-Each function here is the plain implementation the package once shipped:
-a Python loop over tie groups for the fluid map and the cell ranks, dense
-(k*l) x (k*l) flow matrices for the linear region, a dense q written one
-class block at a time, the served-tail check on dense class blocks, a
-dense eigensolve of every undeflated class block, damped relative value
-iteration for the single-user MDP, a
-relaxed solver that recomputes the thresholds of each candidate subsidy
-from scratch, per-user scheduling and slot rules with a simulator that
-follows every user, and a joint-MDP solver over every user-age vector.
+Each function here is a plain implementation, most of them what the
+package once shipped: a Python loop over cells for the fluid map, one
+over tie groups for the cell ranks and for the fluid map's old
+proportional sharing of a tie, dense (k*l) x (k*l) flow matrices for
+the linear region, a dense q written one class block at a time, the
+served-tail check on dense class blocks, a dense eigensolve of every
+undeflated class block, damped relative value iteration for the
+single-user MDP, a relaxed solver that recomputes the thresholds of each
+candidate subsidy from scratch, per-user scheduling and slot rules with
+a simulator that follows every user, and a joint-MDP solver over every
+user-age vector.
 Tests compare the package against them; nothing in src/ imports this
 module.
 """
@@ -74,8 +76,24 @@ def whittle_rank(cfg) -> np.ndarray:
     return group.reshape(cfg.k, cfg.l) * cfg.k + np.arange(cfg.k)[:, None]
 
 
+def _fluid_advance(zmat, sched, cfg) -> OccupancyVector:
+    """Served mass resets to age 1 at rate p_k, the rest ages, capped at l."""
+    p = cfg.p_vector()[:, None]
+    nxt = np.empty_like(zmat)
+    nxt[:, 0] = (p[:, 0] * sched.sum(axis=1))
+    nxt[:, 1:] = zmat[:, :-1] - p * sched[:, :-1]
+    nxt[:, -1] += zmat[:, -1] - p[:, 0] * sched[:, -1]
+    return OccupancyVector(z=nxt)
+
+
 def fluid_step(z, cfg) -> OccupancyVector:
-    """One fluid slot, serving the tie groups one at a time."""
+    """One fluid slot, serving the tie groups one at a time.
+
+    A partly served group shares the residual budget over its cells in
+    proportion to their mass. This was the package's fluid map before it
+    took the slot kernel's rule; the two differ only where the budget
+    splits a tie group that spans several classes.
+    """
     zmat = np.array(z, dtype=float)
     flat = zmat.ravel()
     frac = np.zeros_like(flat)
@@ -91,13 +109,23 @@ def fluid_step(z, cfg) -> OccupancyVector:
             if mass > 0.0:
                 frac[cells] = residual / mass
             residual = 0.0
-    sched = (frac * flat).reshape(cfg.k, cfg.l)
-    p = cfg.p_vector()[:, None]
-    nxt = np.empty_like(zmat)
-    nxt[:, 0] = (p[:, 0] * sched.sum(axis=1))
-    nxt[:, 1:] = zmat[:, :-1] - p * sched[:, :-1]
-    nxt[:, -1] += zmat[:, -1] - p[:, 0] * sched[:, -1]
-    return OccupancyVector(z=nxt)
+    return _fluid_advance(zmat, (frac * flat).reshape(cfg.k, cfg.l), cfg)
+
+
+def kernel_fluid_step(z, cfg) -> OccupancyVector:
+    """One fluid slot by the slot kernel's rule, one cell at a time.
+
+    Cells go in ascending whittle_rank, ascending age within a rank, and
+    each takes the smaller of its mass and the budget still left.
+    """
+    zmat = np.array(z, dtype=float)
+    flat = zmat.ravel()
+    served = np.zeros_like(flat)
+    residual = cfg.alpha
+    for c in np.argsort(whittle_rank(cfg).ravel(), kind="stable"):
+        served[c] = min(flat[c], max(residual, 0.0))
+        residual -= flat[c]
+    return _fluid_advance(zmat, served.reshape(cfg.k, cfg.l), cfg)
 
 
 def assemble_linear(cfg, sol) -> tuple[np.ndarray, np.ndarray]:

@@ -163,7 +163,7 @@ def test_spectral_certificate():
         )
         return NetworkConfig(n=n, alpha=m / n, l=l, classes=classes)
 
-    accepted = single_class = not_fixed = 0
+    accepted = single_class = not_fixed = degenerate = 0
     worst_rho = worst_agree = single_rho = 0.0
     while accepted < 200:
         cfg = draw()
@@ -171,12 +171,13 @@ def test_spectral_certificate():
         try:
             sysm = assemble_linear(cfg, sol)
         except FixedPointError:
-            # a tie group across classes at w_star: z* is not a fixed
-            # point of the fluid map, so there is nothing to certify
+            # z* not a fixed point of the fluid map: counted, and must
+            # not happen, since fluid_step breaks ties as solve_rp does
             not_fixed += 1
             continue
         except DegenerateThresholdError:
             # a class pinned at threshold 1 has no linear region; redraw
+            degenerate += 1
             continue
         rep = spectral_report(sysm)
         accepted += 1
@@ -185,13 +186,15 @@ def test_spectral_certificate():
         if cfg.k == 1:
             single_class += 1
             single_rho = max(single_rho, rep["rho"])
+    assert not_fixed == 0
     assert single_class >= 20
     assert worst_rho < 1.0 - 1e-9
     assert worst_agree < 1e-8
     assert single_rho <= 1e-10
     return (f"200 instances, max rho {worst_rho:.6f}, "
             f"agree {worst_agree:.1e}, K=1 rho {single_rho:.1e}, "
-            f"{not_fixed} redrawn as z* not a fluid fixed point")
+            f"{not_fixed} redrawn as z* not a fluid fixed point, "
+            f"{degenerate} redrawn at a degenerate threshold")
 
 
 @criterion(6, "fluid map fixes z* and contracts at the spectral rate")

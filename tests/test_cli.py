@@ -328,13 +328,18 @@ def test_degenerate_spectrum_is_computation_error(tmp_path, capsys):
     assert stderr_error(capsys)["error"] == "DegenerateThresholdError"
 
 
-def test_unfixed_z_star_spectrum_is_computation_error(tmp_path, capsys):
+def test_cross_class_tie_spectrum_is_certified(tmp_path, capsys):
+    # the tie group at w_star spans both classes; fluid_step serves it
+    # class by class, so z_star is its fixed point and the map certifies
     doc = {"n": 4, "alpha": 0.75, "l": 34,
            "classes": [{"p": 0.58, "gamma": 0.5}, {"p": 0.88, "gamma": 0.5}]}
-    assert main(["spectral", "--config", write_config(tmp_path, doc)]) == 3
+    assert main(["spectral", "--config", write_config(tmp_path, doc)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "FixedPointError"
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["rho"] == pytest.approx(0.88, abs=1e-12)
+    assert payload["rho_closed_form"] == pytest.approx(0.88, abs=1e-12)
+    assert payload["stable"] is True
 
 
 def test_experiment_negative_cap_is_validation_error(tmp_path, capsys):

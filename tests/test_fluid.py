@@ -1,6 +1,7 @@
 """Fluid map, linearized region dynamics, and spectral stability checks."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,9 @@ from aoisched.fluid import (
     spectral_radius,
     spectral_report,
 )
+from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
+from aoisched.sim import simulate, whittle_policy
 
 
 def one_class(p, l, alpha, n=12):
@@ -348,20 +351,72 @@ def test_degenerate_threshold_rejected():
         assemble_linear(cfg, sol)
 
 
-def test_cross_class_tie_at_w_star_is_not_certified():
-    # w_star ~ 1 ties age 1 of both classes; fluid_step shares the
-    # residual budget over the tie group and moves z_star by 0.106, so
-    # the region map (critical class alone randomizes) is not the fluid
-    # map there and no spectral radius may be reported
-    cfg = NetworkConfig(
+def cross_class_tie():
+    # w_star ~ 1 ties age 1 of both classes at the budget boundary
+    return NetworkConfig(
         n=4, alpha=0.75, l=34,
         classes=(ClassSpec(p=0.58, gamma=0.5), ClassSpec(p=0.88, gamma=0.5)),
     )
+
+
+def test_cross_class_tie_at_w_star_is_certified():
+    # fluid_step serves the tie group class by class, as the kernel and
+    # solve_rp do, so z_star is its fixed point and the region map is
+    # its affine form there. The proportional rule of
+    # reference_impls.fluid_step moves z_star by 0.106, so the config
+    # tells the two rules apart.
+    cfg = cross_class_tie()
     sol = solve_rp(cfg)
+    rep = spectral_report(assemble_linear(cfg, sol))
     moved = np.abs(fluid_step(sol.z_star, cfg).z - sol.z_star.z).max()
-    assert moved == pytest.approx(0.106, abs=1e-3)
-    with pytest.raises(FixedPointError):
-        assemble_linear(cfg, sol)
+    assert moved <= AFFINE_TOL
+    shared = np.abs(ref.fluid_step(sol.z_star.z, cfg).z - sol.z_star.z).max()
+    assert shared > 0.1
+    assert rep["rho"] == pytest.approx(0.88, abs=1e-12)
+    assert rep["rho_closed_form"] == pytest.approx(0.88, abs=1e-12)
+    assert rep["route_agreement"] <= 1e-12
+    ones = np.zeros((cfg.k, cfg.l))
+    ones[:, 0] = cfg.gamma_vector()
+    traj = fluid_trajectory(ones, 400, cfg, sol)
+    assert traj.converged
+    assert traj.distances[-1] < 1e-12
+
+
+def test_kernel_at_large_n_ends_near_cross_class_tie_z_star():
+    # N = 1e6 from all ages 1: after 400 slots the kernel ends 6e-4 to
+    # 1.3e-3 from z_star over seeds 0-4, about its stationary fluctuation
+    # 0.8/sqrt(N); the proportional map of reference_impls.fluid_step
+    # ends 0.12 from z_star after 400 steps from the same start
+    cfg = dataclasses.replace(cross_class_tie(), n=10 ** 6)
+    sol = solve_rp(cfg)
+    rec = simulate(cfg, whittle_policy(), 400, 0, np.ones(cfg.n, dtype=int))
+    assert np.linalg.norm(rec.final_occupancy.z - sol.z_star.z) < 0.005
+
+
+def test_z_star_off_the_fluid_fixed_point_is_rejected():
+    # no known config raises FixedPointError now. Move all of class 0
+    # to age l: z leaves the linear region, so fluid_step moves it and
+    # the affine map differs from fluid_step there, and the message
+    # states both residuals
+    cfg = two_class_ref()
+    sol = solve_rp(cfg)
+    z = sol.z_star.z.copy()
+    z[0] = 0.0
+    z[0, -1] = cfg.gamma_vector()[0]
+    assert not in_region(z, cfg, sol)
+    moved_sol = dataclasses.replace(sol, z_star=OccupancyVector(z=z))
+    with pytest.raises(FixedPointError) as err:
+        assemble_linear(cfg, moved_sol)
+    moved, affine = (float(x) for x in re.findall(r"by (\S+)(?: and| there)",
+                                                     str(err.value)))
+    q, c = ref.assemble_linear(cfg, sol)
+    nxt = fluid_step(z, cfg).z
+    sysm = assemble_linear(cfg, sol)
+    expected_affine = np.abs(q @ reduce_occupancy(z, sysm) + c
+                             - reduce_occupancy(nxt, sysm)).max()
+    assert moved == pytest.approx(np.abs(nxt - z).max(), rel=1e-3)
+    assert affine == pytest.approx(expected_affine, rel=1e-3)
+    assert moved > AFFINE_TOL and affine > AFFINE_TOL
     assert issubclass(FixedPointError, DegenerateThresholdError)
 
 
@@ -379,13 +434,27 @@ def assert_blocks_equal_dense_builder(cfg, sol, sysm):
         assert quot.tobytes() == expected.tobytes()
 
 
+def splits_cross_class_tie(z, cfg):
+    """Whether the budget partly serves a tie group spanning classes."""
+    flat = np.asarray(z, dtype=float).ravel()
+    left = cfg.alpha
+    for cells in ref.descending_groups(cfg):
+        mass = flat[cells].sum()
+        if 0.0 < left < mass:
+            return len(np.unique(cells // cfg.l)) > 1
+        left -= mass
+    return False
+
+
 def test_fast_paths_match_reference():
-    # q and c from per-class blocks plus the rank-one coupling, and
-    # fluid_step from one cumsum over the tie groups, against the
-    # dense-matrix and group-loop references; q, c and the served-tail
-    # quotients also equal the dense block-by-block builder bit for bit
-    accepted = 0
-    worst_q = worst_c = worst_step = 0.0
+    # q and c from per-class blocks plus the rank-one coupling against
+    # the dense-matrix reference, and fluid_step against the cell-by-cell
+    # loop of the kernel's rule on every start; q, c and the served-tail
+    # quotients also equal the dense block-by-block builder bit for bit.
+    # The old proportional map agrees with fluid_step wherever the budget
+    # splits no tie group that spans several classes.
+    accepted = kernel_checked = proportional_checked = split = 0
+    worst_q = worst_c = worst_step = worst_proportional = 0.0
     for cfg, rng in random_configs(20260819):
         sol = solve_rp(cfg)
         z_star = sol.z_star.z
@@ -395,14 +464,18 @@ def test_fast_paths_match_reference():
             rng.uniform(0.0, 0.2 * cfg.alpha / cfg.l, size=(cfg.k, cfg.l)),
         )
         for z in starts:
-            diff = np.abs(fluid_step(z, cfg).z - ref.fluid_step(z, cfg).z)
+            out = fluid_step(z, cfg).z
+            diff = np.abs(out - ref.kernel_fluid_step(z, cfg).z)
             worst_step = max(worst_step, float(diff.max()))
+            kernel_checked += 1
+            if splits_cross_class_tie(z, cfg):
+                split += 1
+                continue
+            diff = np.abs(out - ref.fluid_step(z, cfg).z)
+            worst_proportional = max(worst_proportional, float(diff.max()))
+            proportional_checked += 1
         try:
             sysm = assemble_linear(cfg, sol)
-        except FixedPointError:
-            # skipped only where fluid_step itself moves z_star
-            assert np.abs(fluid_step(z_star, cfg).z - z_star).max() > AFFINE_TOL
-            continue
         except DegenerateThresholdError:
             continue
         q, c = ref.assemble_linear(cfg, sol)
@@ -417,6 +490,8 @@ def test_fast_paths_match_reference():
     assert worst_q <= 1e-12
     assert worst_c <= 1e-12
     assert worst_step <= 1e-12
+    assert worst_proportional <= 1e-12
+    assert kernel_checked > 0 and proportional_checked > 0 and split > 0
     # the analysis bench's four L=500 instances
     for cfg in bench_cases():
         sol = solve_rp(cfg)

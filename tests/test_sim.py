@@ -11,7 +11,6 @@ from aoisched.cli import ExperimentSpec, run_experiment
 from aoisched.errors import RangeError, ShapeError
 from aoisched.index import whittle_index_table
 from aoisched.fluid import fluid_step
-from aoisched.index import service_order
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
     POLICY_NAMES,
@@ -399,11 +398,11 @@ def test_kernel_advance_matches_forced_step():
 
 def test_kernel_one_slot_expectation_is_fluid_step():
     # E[next counts] / n, exact by linearity of _advance in the
-    # successes, equals fluid_step unless the budget boundary splits a
-    # cross-class tie group (the kernel serves its classes in order,
-    # fluid_step in proportion to mass)
+    # successes, equals fluid_step on every draw, including those where
+    # the budget boundary splits a cross-class tie group: fluid_step
+    # serves it class by class, as the kernel does
     rng = np.random.default_rng(14)
-    checked = skipped = 0
+    checked = cross = 0
     for _ in range(400):
         k = int(rng.integers(1, 4))
         l = int(rng.integers(2, 16))
@@ -416,19 +415,18 @@ def test_kernel_one_slot_expectation_is_fluid_step():
         counts = np.concatenate([rng.multinomial(size, rng.dirichlet(np.ones(l)))
                                  for _ in range(k)])
         served = _server(cfg, whittle_policy())(counts[None], None)[0]
-        order, group = service_order(tuple(cfg.p_vector()), l)
-        mass = np.bincount(group, weights=counts[order])
-        done = np.bincount(group, weights=served[order])
+        group = _whittle_rank(cfg).ravel() // k
+        mass = np.bincount(group, weights=counts)
+        done = np.bincount(group, weights=served)
         split = np.flatnonzero((done > 0) & (done < mass))
-        if any(len(np.unique(order[group == g] // l)) > 1 for g in split):
-            skipped += 1
-            continue
+        cross += any(len(np.unique(np.flatnonzero(group == g) // l)) > 1
+                     for g in split)
         p_cells = np.repeat(cfg.p_vector(), l)
         expected = _advance(counts[None], (served * p_cells)[None], l)[0] / n
         fluid = fluid_step((counts / n).reshape(k, l), cfg).z.ravel()
         np.testing.assert_allclose(expected, fluid, rtol=0, atol=1e-12)
         checked += 1
-    assert checked >= 300 and skipped >= 10
+    assert checked == 400 and cross >= 10
 
 
 def test_batch_rows_rerun_identical_and_distinct():
