@@ -40,9 +40,9 @@ from .errors import (
 )
 from .fluid import (assemble_linear, fluid_trajectory, region_margin,
                     spectral_report)
-from .index import cost_pair, optimal_thresholds, whittle_index_table
+from .index import optimal_thresholds, threshold_costs, whittle_index_table
 from .model import NetworkConfig, load_config, validate_config
-from .oracle import rvi_one_dim
+from .oracle import rvi_grid
 from .relaxed import solve_rp
 from .sim import (
     HITTING_CAP,
@@ -399,7 +399,11 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    """Cross-check closed-form costs and thresholds against policy iteration."""
+    """Cross-check closed-form costs and thresholds against policy iteration.
+
+    Per class, one rvi_grid call solves the whole subsidy grid and one
+    threshold_costs array gives the closed-form minimum at every point.
+    """
     cfg = load_config(args.config)
     worst = 0.0
     checked = 0
@@ -407,21 +411,18 @@ def _cmd_oracle_check(args) -> int:
     for k, spec_k in enumerate(cfg.classes):
         table = whittle_index_table(np.array([spec_k.p]), cfg.l)[0]
         grid = sorted({0.0, *table, *(w + 0.5 for w in table[:-1])})
-        class_worst = 0.0
-        for w in grid:
-            res = rvi_one_dim(spec_k.p, cfg.l, float(w))
+        results = rvi_grid(spec_k.p, cfg.l, grid)
+        best = threshold_costs(grid, spec_k.p, cfg.l).min(axis=1)
+        for w, res in zip(grid, results):
             l1, l2 = optimal_thresholds(float(w), spec_k.p, cfg.l)
             if res.threshold not in (l1, l2):
                 raise ConvergenceError(
                     f"class {k}, w={w}: threshold {res.threshold} not in "
                     f"{{{l1}, {l2}}}"
                 )
-            best = min(
-                cost_pair(n, float(w), spec_k.p, cfg.l).total
-                for n in range(1, cfg.l + 2)
-            )
-            class_worst = max(class_worst, abs(res.avg_cost - best))
-            checked += 1
+        costs = np.array([res.avg_cost for res in results])
+        class_worst = float(np.abs(costs - best).max())
+        checked += len(grid)
         worst = max(worst, class_worst)
         per_class.append({"class": k, "p": spec_k.p,
                           "max_cost_error": class_worst})

@@ -6,9 +6,11 @@ value until the budget alpha is spent, a tie group class by class and
 then by age, by the kernel's own serve function on real masses, and
 every class then ages or resets with its own success probability.
 
-Inside the region j_wstar, where the budget saturates exactly around the
-critical index value w_star, the map is affine (only near z_star when
-the tie group at w_star spans several classes). assemble_linear builds
+Inside the linear region, where the budget saturates exactly around the
+critical index value w_star, the map is affine. Without a cross-class
+tie at w_star that region is all of j_wstar; with one, the tied cells of
+classes before the critical class m must be fully served and only class
+m's partly (in_region). assemble_linear builds
 that affine map explicitly: one coordinate per class is eliminated
 through the per-class mass constraint (the age l_star_k - 1 coordinate
 for k != m, age l_star_m for the critical class), giving z' = Q z + c on
@@ -28,8 +30,10 @@ eigenvalues would come back as a spurious ring of size about
 and contributes exact zeros; only the (f_k - 1)-dimensional quotient
 (head coordinates plus the tail sum) is solved. A class block is stored
 and checked as its O(l) nonzero numbers, a sub-diagonal and at most
-three dense rows; it is formed whole only to be squared, for a class
-with no fully served age whose entries reach the diagonal.
+three dense rows. A critical or never-served class is nilpotent by
+construction, and its quotient is certified from those entries when
+they make it strictly lower triangular; only a quotient that is not is
+formed and squared.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from .errors import (
 from .index import TIE_TOL, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution
-from .sim import _advance, _serve_in_order, _whittle_order
+from .sim import _expected_slot
 
 REGION_TOL = 1e-12
 AFFINE_TOL = 1e-10
@@ -113,52 +117,69 @@ def fluid_step(z, cfg: NetworkConfig) -> OccupancyVector:
     smaller of its mass and the budget alpha the cells before it left.
     p_k times the served mass are the expected successes, and
     sim._advance, linear in them, resets them to age 1 and ages the
-    rest, truncated at l. Total on the occupancy simplex.
+    rest, truncated at l. Total on the occupancy simplex. This is
+    sim._expected_slot on one row.
     """
     zmat = _as_array(z)
     if zmat.shape != (cfg.k, cfg.l):
         raise ShapeError(f"occupancy shape {zmat.shape} != {(cfg.k, cfg.l)}")
-    flat = zmat.reshape(1, -1)
-    served = _serve_in_order(flat, cfg.alpha, _whittle_order(cfg))
-    nxt = _advance(flat, served * np.repeat(cfg.p_vector(), cfg.l), cfg.l)
-    return OccupancyVector(z=nxt.reshape(zmat.shape))
+    return OccupancyVector(
+        z=_expected_slot(zmat.reshape(1, -1), cfg).reshape(zmat.shape))
 
 
 @lru_cache(maxsize=32)
-def _region_cells(cfg: NetworkConfig, w_star: float) -> tuple:
-    """Masks of the cells strictly above w_star and of those tied with it."""
+def _region_cells(cfg: NetworkConfig, w_star: float, m: int) -> tuple:
+    """Flat masks of the cells served in full and of those served in part.
+
+    In full: the cells strictly above w_star, and the cells tied with it
+    in classes before the critical class m, which the kernel serves
+    first in a tie group. In part: class m's tied cells. Tied cells of
+    classes after m are not served.
+    """
     table = whittle_index_table(cfg.p_vector(), cfg.l)
-    above = table > w_star + TIE_TOL
     tied = np.abs(table - w_star) <= TIE_TOL
+    cls = np.arange(cfg.k)[:, None]
+    above = ((table > w_star + TIE_TOL) | (tied & (cls < m))).ravel()
+    at = (tied & (cls == m)).ravel()
     above.setflags(write=False)
-    tied.setflags(write=False)
-    return above, tied
+    at.setflags(write=False)
+    return above, at
+
+
+def _masses(flat: np.ndarray, cells: tuple) -> tuple:
+    """Mass of the fully served cells, and that plus class m's tied mass."""
+    above_cells, at_cells = cells
+    above = flat[above_cells].sum()
+    return above, above + flat[at_cells].sum()
+
+
+def _inside(masses: tuple, alpha: float) -> bool:
+    above, at_or_above = masses
+    return bool(above < alpha + REGION_TOL and at_or_above >= alpha - REGION_TOL)
 
 
 def _region_masses(z, cfg: NetworkConfig, sol: RelaxedSolution) -> tuple:
-    """Mass strictly above w_star, and mass at or above it."""
-    zmat = _as_array(z)
-    above_cells, tied_cells = _region_cells(cfg, sol.w_star)
-    above = zmat[above_cells].sum()
-    return above, above + zmat[tied_cells].sum()
+    """_masses of z on the region's cells."""
+    return _masses(_as_array(z).ravel(), _region_cells(cfg, sol.w_star, sol.m))
 
 
 def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
-    """Membership in j_wstar, both edges included (closed set).
+    """Membership in the linear region, both edges included (closed set).
 
-    Inside, the mass strictly above w_star is below alpha and the mass at
-    or above w_star covers alpha, so the scheduled fraction is exactly
-    alpha and the partially served cells are the ones tied at w_star.
+    The region is where the affine map of assemble_linear equals
+    fluid_step: the fully served mass (cells above w_star and the tied
+    cells of classes before the critical class m) is below alpha, and
+    adding class m's tied mass covers alpha. So the scheduled fraction
+    is exactly alpha and only class m's tied cells are partly served.
+    Without a cross-class tie at w_star this is all of j_wstar.
     """
-    above, at_or_above = _region_masses(z, cfg, sol)
-    return bool(
-        above < cfg.alpha + REGION_TOL and at_or_above >= cfg.alpha - REGION_TOL
-    )
+    return _inside(_region_masses(z, cfg, sol), cfg.alpha)
 
 
 def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
-    """Margin of z inside j_wstar, negative outside: the smaller of alpha
-    - mass above w_star and mass at or above w_star - alpha."""
+    """Margin of z inside the linear region, negative outside: the
+    smaller of alpha - fully served mass and that mass plus class m's
+    tied mass - alpha (see in_region)."""
     above, at_or_above = _region_masses(z, cfg, sol)
     return float(min(cfg.alpha - above, at_or_above - cfg.alpha))
 
@@ -331,8 +352,8 @@ def _block_rows(sys: LinearRegionSystem, k: int, rows, width: int) -> np.ndarray
     return out
 
 
-def _tail_quotient(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
-    """Deflate class k's block onto the quotient by its served tail.
+def _check_tail(sys: LinearRegionSystem, k: int, h: int) -> None:
+    """Check that class k's served tail is invariant and nilpotent.
 
     The first h coordinates are the head (ages below the first fully
     served age), the rest the tail. With the basis
@@ -340,18 +361,15 @@ def _tail_quotient(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
     column blk v_i must have no head component, a zero tail sum and
     strictly lower triangular V-coordinates (prefix sums of its tail).
     Then V is invariant and nilpotent, and the block's spectrum is that
-    of the returned (h+1) x (h+1) quotient on (head, tail sum) plus one
-    exact zero per dimension of V. blk v_i has at most five entries, rows
-    i+1 and i+2 of the sub-diagonal and one per dense row; summed in
-    ascending row order they give the dense column's prefix sums bit for
-    bit. The tail-sum row adds rows in that order too, as numpy's axis-0
-    sum does; at h = 0 its one entry sums rows 0, 1 and l-2 alone, which
-    numpy's pairwise sum of one column adds in the same order. With no
-    tail (h >= l-1) the whole dense block is returned.
+    of its (h+1) x (h+1) quotient on (head, tail sum) plus one exact zero
+    per dimension of V. blk v_i has at most five entries, rows i+1 and
+    i+2 of the sub-diagonal and one per dense row; summed in ascending
+    row order they give the dense column's prefix sums bit for bit.
+    Nothing to check with no tail (h >= l-1).
     """
     d = sys.l - 1
     if h >= d:
-        return _block_rows(sys, k, np.arange(d), d)
+        return
     at, dense = sys.dense_at[k], sys.dense[k]
     cols = np.arange(h, d - 1)
     sub = np.append(sys.sub[k], 0.0)
@@ -376,10 +394,46 @@ def _tail_quotient(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
                 f"class {k}: served tail not invariant, {what} residual "
                 f"{residual:.3e}"
             )
+
+
+def _tail_rows(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
+    """The tail rows (ascending) with an entry in the first h+1 columns."""
+    at = sys.dense_at[k]
+    return np.union1d([h, min(h + 1, sys.l - 2)], at[at >= h])
+
+
+def _tail_quotient(sys: LinearRegionSystem, k: int, h: int) -> np.ndarray:
+    """Class k's block on the quotient by its served tail (see _check_tail).
+
+    Head rows and columns, plus the tail-sum row, which adds the tail
+    rows in ascending order, as numpy's axis-0 sum does; at h = 0 its
+    one entry sums rows 0, 1 and l-2 alone, which numpy's pairwise sum of
+    one column adds in the same order. With no tail (h >= l-1) the whole
+    dense block is returned.
+    """
+    d = sys.l - 1
+    if h >= d:
+        return _block_rows(sys, k, np.arange(d), d)
     quot = _block_rows(sys, k, np.arange(h + 1), h + 1)
-    tail = np.union1d([h, min(h + 1, d - 1)], at[at >= h])
-    quot[h] = _block_rows(sys, k, tail, h + 1).sum(axis=0)
+    quot[h] = _block_rows(sys, k, _tail_rows(sys, k, h), h + 1).sum(axis=0)
     return quot
+
+
+def _lower_quotient(sys: LinearRegionSystem, k: int, h: int) -> bool:
+    """Whether class k's tail quotient is strictly lower triangular.
+
+    Read from the stored entries, without forming the quotient: the
+    sub-diagonal lies below the diagonal, so it is enough that every
+    dense head row is zero at and right of its own index and, with a
+    tail, that the tail-sum row's diagonal entry, summed as
+    _tail_quotient sums it, is exactly zero.
+    """
+    if any(row[a:h + 1].any() for a, row in zip(sys.dense_at[k], sys.dense[k])
+           if a < h):
+        return False
+    if h >= sys.l - 1:
+        return True
+    return _block_rows(sys, k, _tail_rows(sys, k, h), h + 1)[:, h].sum() == 0.0
 
 
 def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
@@ -387,27 +441,28 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
 
     The only off-diagonal blocks of q, outer(u, v[j]), sit in the
     critical block row, so q's spectrum is that of its class blocks.
-    Each block is first deflated by _tail_quotient: from the first fully
-    served age f_k on, sum-zero tail vectors are shifted down the ages
-    at rate 1-p_k, an exactly nilpotent action that a dense eigensolve
-    would return as a spurious ring of size about (1-p_k) eps**(1/dim).
-    Those l-f_k dimensions contribute exact zeros and only the
-    (f_k-1)-dimensional quotient is solved. The critical class and
-    never-served classes are nilpotent by construction. A block with no
-    fully served age whose stored entries all lie strictly below the
-    diagonal is certified as it stands; any other quotient of theirs (the
-    whole dense block when there is no tail) is squared past the
-    nilpotency index.
+    Each block's served tail is checked by _check_tail: from the first
+    fully served age f_k on, sum-zero tail vectors are shifted down the
+    ages at rate 1-p_k, an exactly nilpotent action that a dense
+    eigensolve would return as a spurious ring of size about
+    (1-p_k) eps**(1/dim). Those l-f_k dimensions contribute exact zeros
+    and only the (f_k-1)-dimensional quotient is solved. The critical
+    class and never-served classes are nilpotent by construction: their
+    quotient (the whole block when there is no tail) is certified from
+    its stored entries when _lower_quotient finds it strictly lower
+    triangular, and is otherwise formed and squared past the nilpotency
+    index.
     """
     d = sys.l - 1
     parts = []
     for k, f in enumerate(sys.full_from):
+        h = f - 2
+        _check_tail(sys, k, h)
         nilpotent = k == sys.m or sys.l_star[k] == sys.l + 1
-        if nilpotent and f - 2 >= d and not any(
-                row[a:].any() for a, row in zip(sys.dense_at[k], sys.dense[k])):
+        if nilpotent and _lower_quotient(sys, k, h):
             parts.append(np.zeros(d, dtype=complex))
             continue
-        quot = _tail_quotient(sys, k, f - 2)
+        quot = _tail_quotient(sys, k, h)
         parts.append(np.zeros(d - len(quot), dtype=complex))
         if nilpotent:
             power, exponent = quot, 1
@@ -468,20 +523,24 @@ def fluid_trajectory(
 
     Records the Euclidean distance to z_star and region membership at
     every step, plus the geometric mean of the tail distance ratios as
-    the empirical contraction factor.
+    the empirical contraction factor. The iterate stays one flat row of
+    sim._expected_slot, and the region masks are read once.
     """
     if steps < 0:
         raise RangeError(f"steps must be >= 0, got {steps}")
-    z = _as_array(z0)
-    z_star = sol.z_star.z
+    zmat = _as_array(z0)
+    if zmat.shape != (cfg.k, cfg.l):
+        raise ShapeError(f"occupancy shape {zmat.shape} != {(cfg.k, cfg.l)}")
+    z = zmat.reshape(1, -1)
+    z_star = sol.z_star.z.ravel()
+    cells = _region_cells(cfg, sol.w_star, sol.m)
     distances = np.empty(steps + 1)
     flags = np.empty(steps + 1, dtype=bool)
-    distances[0] = float(np.linalg.norm(z - z_star))
-    flags[0] = in_region(z, cfg, sol)
-    for t in range(1, steps + 1):
-        z = fluid_step(z, cfg).z
-        distances[t] = float(np.linalg.norm(z - z_star))
-        flags[t] = in_region(z, cfg, sol)
+    for t in range(steps + 1):
+        if t:
+            z = _expected_slot(z, cfg)
+        distances[t] = float(np.linalg.norm(z[0] - z_star))
+        flags[t] = _inside(_masses(z[0], cells), cfg.alpha)
     ratios = []
     for t in range(steps // 2, steps):
         if distances[t] > ZERO_DIST and distances[t + 1] > ZERO_DIST:
@@ -497,5 +556,5 @@ def fluid_trajectory(
         in_region=flags,
         contraction=contraction,
         converged=bool(distances[-1] < 1e-8),
-        final=OccupancyVector(z=z),
+        final=OccupancyVector(z=z.reshape(zmat.shape)),
     )

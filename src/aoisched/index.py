@@ -165,6 +165,27 @@ def sched_cost(n: int, w: float, p: float, l: int) -> float:
     return w / (n * p + 1.0 - p)
 
 
+def threshold_costs(w, p: float, l: int) -> np.ndarray:
+    """cost_pair(n, w, p, l).total for every subsidy and threshold.
+
+    Row i holds thresholds n = 1, ..., l+1 at subsidy w[i], shape
+    (len(w), l+1). age_cost is computed once per threshold and the
+    subsidy term with sched_cost's float operations, w/(n*p+1-p) and 0
+    at n = l+1, so each entry equals the scalar total bit for bit.
+    """
+    _check_p(p)
+    _check_l(l)
+    w = np.array(w, dtype=float).reshape(-1, 1)
+    negative = w[w < 0.0]
+    if negative.size:
+        raise RangeError(f"subsidy must be >= 0, got {float(negative[0])!r}")
+    ns = np.arange(1, l + 2)
+    ages = np.array([age_cost(n, p, l) for n in range(1, l + 2)])
+    sched = w / (ns * p + 1.0 - p)
+    sched[:, -1] = 0.0
+    return ages + sched
+
+
 @dataclass(frozen=True)
 class CostPair:
     """Average age cost, subsidy cost, and their total for one threshold."""

@@ -5,9 +5,12 @@ Three independent solvers:
 * stationary_by_balance: direct linear solve of the threshold chain's
   balance equations, oracle for the closed-form stationary distribution
   and for the randomized chain of relaxed.rp_coin.
-* rvi_one_dim: policy iteration on the single-user subsidized MDP over
+* rvi_grid: policy iteration on the single-user subsidized MDP over
   all schedule/idle rules on the l ages, oracle for the threshold
-  structure and the average-cost formulas.
+  structure and the average-cost formulas. It solves a whole grid of
+  subsidies as one stacked policy iteration, one np.linalg.solve call on
+  the stack of still-switching subsidies per sweep; rvi_one_dim is its
+  one-subsidy case.
 * joint_mdp_optimal: exact relative value iteration on the joint n-user
   MDP with the true per-slot budget, solved on its exchangeable quotient.
   JOINT_STATE_CAP still bounds the l**n user-age vectors, so it runs only
@@ -29,7 +32,7 @@ the stage cost unchanged. The transform keeps the average cost and the
 optimal policy of every stationary policy and makes the iteration
 converge for periodic chains (p = 1 thresholds). Policy iteration solves
 each policy's average-cost equations exactly and needs no transform;
-rvi_one_dim still reports its relative values on the transformed scale.
+rvi_grid still reports its relative values on the transformed scale.
 """
 from __future__ import annotations
 
@@ -52,6 +55,12 @@ JOINT_STATE_CAP = 2 * 10 ** 5
 # joint_mdp_optimal builds its transitions this many quotient states at a
 # time, which bounds its work arrays; the result does not depend on it.
 STATE_BLOCK = 2 ** 12
+# rvi_grid stacks at most this many system entries (subsidies times l*l)
+# per solve, which bounds its work arrays; the results do not depend on it.
+# oracle-check at L=200 (2 vCPUs): 5.2 s and 68 MB max RSS at 2**20,
+# 5.8 s and 43 MB here, 6.0 s and 37 MB at 2**16; 6.1-6.8 s and 33 MB one
+# subsidy at a time. At L=25 one block holds a class's whole grid.
+GRID_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +120,8 @@ def stationary_by_balance(n: int, p: float, l: int, upper: int | None = None,
     return pi
 
 
-def rvi_one_dim(p: float, l: int, w: float) -> RviResult:
-    """Policy iteration for the single-user subsidized MDP.
+def rvi_grid(p: float, l: int, ws) -> list[RviResult]:
+    """Policy iteration for the single-user subsidized MDP at every w in ws.
 
     State is the age in {1, ..., l}. Idling costs the age and lets it
     grow (truncated at l); scheduling additionally costs the subsidy w
@@ -123,50 +132,81 @@ def rvi_one_dim(p: float, l: int, w: float) -> RviResult:
     first policy that no switch improves. value_fn is h / DAMPING, the
     relative value of the aperiodicity-transformed chain at reference
     age 1.
+
+    The subsidies are independent problems solved side by side, up to
+    GRID_BLOCK of them at a time: each sweep stacks the l x l systems of
+    the subsidies whose policy still switches and makes one
+    np.linalg.solve call on the stack, which runs LAPACK's gesv on each
+    matrix, so every result is bit-identical to solving its subsidy
+    alone. A subsidy retires at its first sweep with no improving
+    switch. The stack saves Python overhead per subsidy; at large l the
+    dense solves dominate and it saves little.
     """
     _check_p(p)
     _check_l(l)
-    if w < 0.0:
-        raise RangeError(f"subsidy must be >= 0, got {w!r}")
+    w_all = np.array(ws, dtype=float).reshape(-1)
+    negative = w_all[w_all < 0.0]
+    if negative.size:
+        raise RangeError(f"subsidy must be >= 0, got {float(negative[0])!r}")
+    block = max(1, GRID_BLOCK // (l * l))
+    return [res for lo in range(0, w_all.size, block)
+            for res in _rvi_block(p, l, w_all[lo:lo + block])]
+
+
+def _rvi_block(p: float, l: int, w: np.ndarray) -> list[RviResult]:
+    """rvi_grid on one block of subsidies, one stacked solve per sweep."""
     ages = np.arange(1, l + 1, dtype=float)
     nxt = np.minimum(np.arange(2, l + 2), l) - 1  # index of min(age+1, l)
     states = np.arange(l)
-    schedule = np.full(l, w <= GREEDY_TIE_TOL)
+    schedule = np.repeat(w[:, None] <= GREEDY_TIE_TOL, l, axis=1)
+    results: list[RviResult | None] = [None] * w.size
+    live = np.arange(w.size)
     for _ in range(MAX_ITERS):
-        rate = p * schedule
-        kernel = np.zeros((l, l))
-        kernel[states, nxt] = 1.0 - rate
-        kernel[:, 0] += rate
+        sched, w_live = schedule[live], w[live, None]
+        rate = p * sched
+        kernel = np.zeros((live.size, l, l))
+        kernel[:, states, nxt] = 1.0 - rate
+        kernel[:, :, 0] += rate
         # Unknowns (g, h(2), ..., h(l)); h(1) = 0 frees the first column.
         system = np.eye(l) - kernel
-        system[:, 0] = 1.0
+        system[:, :, 0] = 1.0
         try:
-            solution = np.linalg.solve(system, ages + w * schedule)
+            rhs = (ages + w_live * sched)[:, :, None]
+            solution = np.linalg.solve(system, rhs)[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"policy evaluation singular: {exc}"
             ) from exc
-        avg_cost = solution[0]
-        h = np.concatenate(([0.0], solution[1:]))
-        q_idle = ages + h[nxt]
-        q_tx = ages + w + p * h[0] + (1.0 - p) * h[nxt]
-        improved = np.where(schedule, q_idle < q_tx - GREEDY_TIE_TOL,
+        h = solution.copy()
+        h[:, 0] = 0.0
+        q_idle = ages + h[:, nxt]
+        q_tx = ages + w_live + p * h[:, :1] + (1.0 - p) * h[:, nxt]
+        improved = np.where(sched, q_idle < q_tx - GREEDY_TIE_TOL,
                             q_tx < q_idle - GREEDY_TIE_TOL)
-        if improved.any():
-            schedule = schedule ^ improved
-            continue
-        policy = q_tx <= q_idle + GREEDY_TIE_TOL
-        scheduled = np.flatnonzero(policy)
-        threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
-        if not np.all(policy[threshold - 1 :]):
-            raise ConvergenceError("greedy policy is not a threshold policy")
-        return RviResult(
-            avg_cost=float(avg_cost),
-            value_fn=h / DAMPING,
-            policy=policy,
-            threshold=threshold,
-        )
+        switching = improved.any(axis=1)
+        schedule[live] = sched ^ improved
+        policies = q_tx <= q_idle + GREEDY_TIE_TOL
+        for row in np.flatnonzero(~switching):
+            policy = policies[row]
+            scheduled = np.flatnonzero(policy)
+            threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
+            if not np.all(policy[threshold - 1 :]):
+                raise ConvergenceError("greedy policy is not a threshold policy")
+            results[live[row]] = RviResult(
+                avg_cost=float(solution[row, 0]),
+                value_fn=h[row] / DAMPING,
+                policy=policy,
+                threshold=threshold,
+            )
+        live = live[switching]
+        if not live.size:
+            return results
     raise ConvergenceError(f"policy iteration did not settle in {MAX_ITERS} steps")
+
+
+def rvi_one_dim(p: float, l: int, w: float) -> RviResult:
+    """rvi_grid at the one subsidy w."""
+    return rvi_grid(p, l, [w])[0]
 
 
 def _quotient_states(cfg: NetworkConfig) -> np.ndarray:

@@ -14,8 +14,9 @@ array, and one slot kernel advances all of them:
   found by a cumsum against m. Cells that share a rank, a class's
   (l-1, l) truncation tie, are served in ascending age; every split of
   them has the same law, because an unsuccessful user of either cell
-  moves to age l. fluid.fluid_step is the same rule on real masses,
-  with budget alpha, so it is the kernel's expected whittle slot.
+  moves to age l. _expected_slot is the same rule on real masses, with
+  budget alpha, so it is the kernel's expected whittle slot; it is
+  fluid.fluid_step on one row.
 * uniform_random serves a multivariate hypergeometric sample of m users
   by one of two exact draws (see _server): up to UNIFORM_PERMUTE_MAX_N
   users, a row-wise permutation of the batch's R*n cell ids, one per
@@ -156,6 +157,14 @@ def _whittle_order(cfg: NetworkConfig) -> np.ndarray:
     return order
 
 
+@lru_cache(maxsize=32)
+def _p_cells(cfg: NetworkConfig) -> np.ndarray:
+    """Success probability of each flat cell, class-major."""
+    p_cells = np.repeat(cfg.p_vector(), cfg.l)
+    p_cells.setflags(write=False)
+    return p_cells
+
+
 def _serve_in_order(amounts: np.ndarray, budget, order: np.ndarray) -> np.ndarray:
     """Serve each row's cells one by one in `order` until budget is spent.
 
@@ -273,6 +282,17 @@ def _advance(counts, successes, l: int) -> np.ndarray:
     return nxt.reshape(counts.shape)
 
 
+def _expected_slot(masses: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    """The whittle kernel's expected slot on (rows, k*l) real masses.
+
+    Each row is served by _serve_in_order in Whittle order with budget
+    alpha, p times the served masses are the expected successes, and
+    _advance, linear in them, gives the expected next masses.
+    """
+    served = _serve_in_order(masses, cfg.alpha, _whittle_order(cfg))
+    return _advance(masses, served * _p_cells(cfg), cfg.l)
+
+
 def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
     """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
 
@@ -280,7 +300,7 @@ def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
     Callers must not modify a yielded array.
     """
     serve = _server(cfg, policy)
-    p_cells = np.repeat(cfg.p_vector(), cfg.l)
+    p_cells = _p_cells(cfg)
     cells = class_ids(cfg) * cfg.l + make_initial_ages(initial, cfg) - 1
     counts = np.tile(np.bincount(cells, minlength=cfg.k * cfg.l), (rows, 1))
     while True:
@@ -386,19 +406,18 @@ def fluid_deviation(cfg: NetworkConfig, horizon: int,
 
     Runs the Whittle chain and the deterministic fluid iteration from the
     same initial occupancy (the empirical one after rounding) and returns
-    the largest Euclidean gap over slots 0..horizon-1. sol is not needed
-    and is accepted for existing callers.
+    the largest Euclidean gap over slots 0..horizon-1; the fluid side is
+    _expected_slot on one row, fluid.fluid_step's own map. sol is not
+    needed and is accepted for existing callers.
     """
-    from .fluid import fluid_step
-
     worst = 0.0
     z_fluid = None
     for t, counts in enumerate(_paths(cfg, whittle_policy(), initial, 1,
                                       np.random.default_rng(seed))):
         if t == horizon:
             return worst
-        occ = counts[0] / cfg.n
+        occ = counts / cfg.n
         if z_fluid is None:
             z_fluid = occ
-        worst = max(worst, float(np.linalg.norm(occ - z_fluid)))
-        z_fluid = fluid_step(z_fluid.reshape(cfg.k, cfg.l), cfg).z.ravel()
+        worst = max(worst, float(np.linalg.norm(occ[0] - z_fluid[0])))
+        z_fluid = _expected_slot(z_fluid, cfg)

@@ -6,9 +6,11 @@ over tie groups for the cell ranks and for the fluid map's old
 proportional sharing of a tie, dense (k*l) x (k*l) flow matrices for
 the linear region, a dense q written one class block at a time, the
 served-tail check on dense class blocks, a dense eigensolve of every
-undeflated class block, damped relative value iteration for the
-single-user MDP, a relaxed solver that recomputes the thresholds of each
-candidate subsidy from scratch, per-user scheduling and slot rules with
+undeflated class block, damped relative value iteration and
+policy iteration one subsidy at a time for the single-user MDP, the
+oracle-check payload built from that loop and scalar cost_pair calls,
+a relaxed solver that recomputes the thresholds of each candidate
+subsidy from scratch, per-user scheduling and slot rules with
 a simulator that follows every user, and a joint-MDP solver over every
 user-age vector.
 Tests compare the package against them; nothing in src/ imports this
@@ -20,11 +22,24 @@ import itertools
 
 import numpy as np
 
-from aoisched.errors import ConvergenceError, InfeasibleError, ShapeError, SizeError
+from aoisched.errors import (
+    ConvergenceError,
+    InfeasibleError,
+    RangeError,
+    ShapeError,
+    SingularSystemError,
+    SizeError,
+)
 from aoisched.fluid import AFFINE_TOL, NILPOTENT_TOL
-from aoisched.index import TIE_TOL, age_cost, optimal_thresholds, whittle_index_table
+from aoisched.index import (
+    TIE_TOL,
+    age_cost,
+    cost_pair,
+    optimal_thresholds,
+    whittle_index_table,
+)
 from aoisched.model import OccupancyVector, validate_config
-from aoisched.oracle import JOINT_STATE_CAP
+from aoisched.oracle import JOINT_STATE_CAP, RviResult
 from aoisched.relaxed import (
     BUDGET_SLACK,
     RelaxedSolution,
@@ -282,6 +297,72 @@ def rvi_one_dim(p: float, l: int, w: float) -> tuple[float, np.ndarray, int]:
             threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
             return float(0.5 * (diff.max() + diff.min())), value, threshold
     raise AssertionError("reference rvi did not converge")
+
+
+def policy_iteration(p: float, l: int, w: float) -> RviResult:
+    """Policy iteration for one subsidy: one l x l solve per sweep.
+
+    The loop oracle.rvi_grid stacks, run on a single subsidy with the
+    same float operations, the same GREEDY_TIE_TOL switching rule and the
+    same checks.
+    """
+    if w < 0.0:
+        raise RangeError(f"subsidy must be >= 0, got {w!r}")
+    ages = np.arange(1, l + 1, dtype=float)
+    nxt = np.minimum(np.arange(2, l + 2), l) - 1
+    states = np.arange(l)
+    schedule = np.full(l, w <= GREEDY_TIE_TOL)
+    for _ in range(MAX_ITERS):
+        rate = p * schedule
+        kernel = np.zeros((l, l))
+        kernel[states, nxt] = 1.0 - rate
+        kernel[:, 0] += rate
+        system = np.eye(l) - kernel
+        system[:, 0] = 1.0
+        try:
+            solution = np.linalg.solve(system, ages + w * schedule)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"policy evaluation singular: {exc}") from exc
+        h = np.concatenate(([0.0], solution[1:]))
+        q_idle = ages + h[nxt]
+        q_tx = ages + w + p * h[0] + (1.0 - p) * h[nxt]
+        improved = np.where(schedule, q_idle < q_tx - GREEDY_TIE_TOL,
+                            q_tx < q_idle - GREEDY_TIE_TOL)
+        if improved.any():
+            schedule = schedule ^ improved
+            continue
+        policy = q_tx <= q_idle + GREEDY_TIE_TOL
+        scheduled = np.flatnonzero(policy)
+        threshold = int(scheduled[0]) + 1 if scheduled.size else l + 1
+        if not np.all(policy[threshold - 1:]):
+            raise ConvergenceError("greedy policy is not a threshold policy")
+        return RviResult(avg_cost=float(solution[0]), value_fn=h / DAMPING,
+                         policy=policy, threshold=threshold)
+    raise ConvergenceError(f"policy iteration did not settle in {MAX_ITERS} steps")
+
+
+def oracle_check_payload(cfg) -> dict:
+    """aoisched oracle-check's payload, one subsidy and one threshold at a time.
+
+    policy_iteration at each grid point and the minimum of scalar
+    cost_pair totals over thresholds 1..l+1.
+    """
+    worst, checked, per_class = 0.0, 0, []
+    for k, spec_k in enumerate(cfg.classes):
+        table = whittle_index_table(np.array([spec_k.p]), cfg.l)[0]
+        class_worst = 0.0
+        for w in sorted({0.0, *table, *(w + 0.5 for w in table[:-1])}):
+            res = policy_iteration(spec_k.p, cfg.l, float(w))
+            l1, l2 = optimal_thresholds(float(w), spec_k.p, cfg.l)
+            assert res.threshold in (l1, l2)
+            best = min(cost_pair(n, float(w), spec_k.p, cfg.l).total
+                       for n in range(1, cfg.l + 2))
+            class_worst = max(class_worst, abs(res.avg_cost - best))
+            checked += 1
+        worst = max(worst, class_worst)
+        per_class.append({"class": k, "p": spec_k.p, "max_cost_error": class_worst})
+    return {"grid_points": checked, "max_cost_error": worst,
+            "per_class": per_class, "ok": bool(worst < 1e-6)}
 
 
 def block_spectrum(sys) -> np.ndarray:

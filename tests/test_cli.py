@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import aoisched
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.cli import (
     CSV_HEADER,
@@ -223,13 +224,40 @@ def test_memory_error_is_computation_error(tmp_path, capsys, monkeypatch):
     }
 
 
-def test_oracle_check_command(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, CHEAP)
+ORACLE_BENCH = {
+    # the analysis bench's oracle-check configs
+    "reference": {"n": 100, "alpha": 0.5, "l": 25,
+                  "classes": [{"p": 0.5, "gamma": 0.5}, {"p": 0.8, "gamma": 0.5}]},
+    "shrinking_gap": {"n": 100, "alpha": 0.5, "l": 25,
+                      "classes": [{"p": 0.8, "gamma": 0.5}, {"p": 0.2, "gamma": 0.5}]},
+}
+
+
+def oracle_check_output(tmp_path, capsys, doc):
+    """oracle-check's stdout on doc, and the per-subsidy reference's."""
+    cfg_path = write_config(tmp_path, doc)
     assert main(["oracle-check", "--config", cfg_path]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    expected = ref.oracle_check_payload(aoisched.load_config(cfg_path))
+    return (capsys.readouterr().out,
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
+def test_oracle_check_command(tmp_path, capsys):
+    out, expected = oracle_check_output(tmp_path, capsys, CHEAP)
+    payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["max_cost_error"] < 1e-6
     assert payload["grid_points"] > 0
+    # the stacked grid solve prints what the per-subsidy loop gives, byte
+    # for byte, so a change in any max_cost_error shows
+    assert out == expected
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BENCH))
+def test_oracle_check_bench_configs_match_per_subsidy_loop(tmp_path, capsys, name):
+    out, expected = oracle_check_output(tmp_path, capsys, ORACLE_BENCH[name])
+    assert json.loads(out)["grid_points"] == 98
+    assert out == expected
 
 
 def test_missing_config_is_validation_error(capsys):

@@ -26,9 +26,10 @@ from aoisched.fluid import (
     spectral_radius,
     spectral_report,
 )
+from aoisched.index import TIE_TOL, whittle_index_table
 from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
-from aoisched.sim import simulate, whittle_policy
+from aoisched.sim import fluid_deviation, simulate, whittle_policy
 
 
 def one_class(p, l, alpha, n=12):
@@ -39,6 +40,14 @@ def two_class_ref():
     return NetworkConfig(
         n=100, alpha=0.5, l=50,
         classes=(ClassSpec(p=0.5, gamma=0.5), ClassSpec(p=0.8, gamma=0.5)),
+    )
+
+
+def cross_class_tie():
+    # w_star ~ 1 ties age 1 of both classes at the budget boundary
+    return NetworkConfig(
+        n=4, alpha=0.75, l=34,
+        classes=(ClassSpec(p=0.58, gamma=0.5), ClassSpec(p=0.88, gamma=0.5)),
     )
 
 
@@ -287,7 +296,7 @@ def test_block_without_served_tail_is_not_formed(alpha, ps, l):
     report, certified = traced_peak(spectral_report, sysm)
     assert certified < 8 * (l - 1) ** 2 / 4
     assert report["route_agreement"] < 1e-12
-    # a one-column tail sends the whole block down the squaring route
+    # with a one-column tail the block is checked as a tail quotient
     assert report == spectral_report(
         dataclasses.replace(sysm, full_from=(l, sysm.full_from[1])))
 
@@ -303,6 +312,38 @@ def test_block_reaching_its_diagonal_is_squared():
         spectral_report(perturb(sysm, [("dense", 0, (0, 0), 1.0)]))
 
 
+def test_lower_triangular_tail_quotient_is_not_squared(monkeypatch):
+    # the critical class 0 is fully served from age 1388 at L = 2000.
+    # Its 1387 x 1387 tail quotient is strictly lower triangular as
+    # stored, so it is certified without being formed: squaring it peaks
+    # at 46 MB
+    cfg = NetworkConfig(n=400, alpha=0.02, l=2000, classes=(
+        ClassSpec(p=0.02, gamma=0.5), ClassSpec(p=0.9, gamma=0.5)))
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    assert sysm.m == 0 and sysm.full_from[0] == 1388
+    report, certified = traced_peak(spectral_report, sysm)
+    assert certified < 8 * 1387 ** 2 / 4
+    assert report["route_agreement"] < 1e-12
+    monkeypatch.setattr(fluid, "_lower_quotient", lambda *args: False)
+    assert report == spectral_report(sysm)
+
+
+def test_tail_quotient_failing_the_check_is_squared():
+    # one class, fully served from age 3: an entry on the diagonal of the
+    # head's age-1 row leaves the tail check passing, but the quotient is
+    # no longer lower triangular, so it is squared, which finds the
+    # eigenvalue that entry adds
+    cfg = NetworkConfig(n=2, alpha=0.5, l=6, classes=(ClassSpec(p=0.8, gamma=1.0),))
+    sysm = assemble_linear(cfg, solve_rp(cfg))
+    assert sysm.m == 0 and sysm.full_from == (3,)
+    assert fluid._lower_quotient(sysm, 0, 1)
+    broken = perturb(sysm, [("dense", 0, (0, 0), 1.0)])
+    assert not fluid._lower_quotient(broken, 0, 1)
+    with pytest.raises(ConvergenceError,
+                       match="class 0: expected nilpotent.*after power"):
+        spectral_report(broken)
+
+
 def test_region_margin_at_z_star():
     for ps, margin in (((0.5, 0.8), 0.05), ((0.8, 0.2), 1.0 / 130)):
         cfg = NetworkConfig(n=100, alpha=0.5, l=50, classes=tuple(
@@ -310,6 +351,105 @@ def test_region_margin_at_z_star():
         sol = solve_rp(cfg)
         assert region_margin(sol.z_star, cfg, sol) == pytest.approx(
             margin, rel=0, abs=1e-12)
+
+
+def old_j_w_star(z, cfg, sol):
+    """Membership in all of j_w*: every tied cell counted as partly served."""
+    table = whittle_index_table(cfg.p_vector(), cfg.l)
+    above = z[table > sol.w_star + TIE_TOL].sum()
+    tied = z[np.abs(table - sol.w_star) <= TIE_TOL].sum()
+    return above < cfg.alpha + 1e-12 and above + tied >= cfg.alpha - 1e-12
+
+
+@pytest.mark.parametrize("cfg", [cross_class_tie(), two_class_ref()],
+                         ids=["cross_class_tie", "reference"])
+def test_affine_map_holds_wherever_in_region_accepts(cfg):
+    # in_region is the set where q z + c equals fluid_step: at a
+    # cross-class tie the tied cells of classes before m count as fully
+    # served and only class m's as partly served. All of j_w* is larger
+    # there, and on 30% perturbations of z* the affine map breaks on
+    # about a third of it; without a cross-class tie the two sets agree
+    sol = solve_rp(cfg)
+    sysm = assemble_linear(cfg, sol)
+    q, c = ref.assemble_linear(cfg, sol)
+    rng = np.random.default_rng(0)
+    gamma = cfg.gamma_vector()[:, None]
+    accepted = broken_in_j_w_star = 0
+    for _ in range(3000):
+        noise = rng.normal(size=sol.z_star.z.shape)
+        z = np.abs(sol.z_star.z * (1.0 + 0.3 * noise))
+        z *= gamma / z.sum(axis=1, keepdims=True)
+        error = np.abs(q @ reduce_occupancy(z, sysm) + c
+                       - reduce_occupancy(fluid_step(z, cfg).z, sysm)).max()
+        if in_region(z, cfg, sol):
+            assert old_j_w_star(z, cfg, sol)
+            assert error <= AFFINE_TOL
+            accepted += 1
+        elif old_j_w_star(z, cfg, sol):
+            broken_in_j_w_star += error > AFFINE_TOL
+    assert accepted >= 1500
+    if cfg == cross_class_tie():
+        assert broken_in_j_w_star >= 500
+    else:
+        assert broken_in_j_w_star == 0
+
+
+def test_region_margin_at_cross_class_tie():
+    # z* has class 0 (= m) at its threshold age 1 with mass 0.5 - 3/188
+    # served, and class 1's tied age-1 mass is not served: the margin is
+    # 3/188, not the 0.25 of all of j_w*
+    cfg = cross_class_tie()
+    sol = solve_rp(cfg)
+    assert sol.m == 0
+    assert region_margin(sol.z_star, cfg, sol) == pytest.approx(
+        3.0 / 188.0, rel=0, abs=1e-15)
+    assert in_region(sol.z_star, cfg, sol)
+
+
+def stepwise_trajectory(z0, steps, cfg, sol):
+    """Distances and in_region flags of a fluid_step loop on (k, l) arrays."""
+    z = np.asarray(z0, dtype=float)
+    distances, flags = [], []
+    for t in range(steps + 1):
+        if t:
+            z = fluid_step(z, cfg).z
+        distances.append(float(np.linalg.norm(z - sol.z_star.z)))
+        flags.append(in_region(z, cfg, sol))
+    return np.array(distances), np.array(flags), z
+
+
+@pytest.mark.parametrize("cfg, steps", [
+    *((cfg, 40) for cfg in bench_cases()),
+    (cross_class_tie(), 400),
+    (two_class_ref(), 300),
+])
+def test_trajectory_rows_match_fluid_step_loop(cfg, steps):
+    # fluid_trajectory iterates flat rows of sim._expected_slot with the
+    # region masks read once: bit for bit the fluid_step loop
+    sol = solve_rp(cfg)
+    maxed = np.zeros((cfg.k, cfg.l))
+    maxed[:, -1] = cfg.gamma_vector()
+    distances, flags, final = stepwise_trajectory(maxed, steps, cfg, sol)
+    traj = fluid_trajectory(maxed, steps, cfg, sol)
+    assert traj.distances.tobytes() == distances.tobytes()
+    assert traj.in_region.tolist() == flags.tolist()
+    assert traj.final.z.tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("n, seed", [(80, 1), (320, 2)])
+def test_fluid_deviation_matches_fluid_step_loop(n, seed):
+    # the same kernel path, read from simulate's trace, against a
+    # fluid_step loop from its first state
+    cfg = dataclasses.replace(two_class_ref(), n=n)
+    sol = solve_rp(cfg)
+    rec = simulate(cfg, whittle_policy(), 200, seed, sol.z_star, record_trace=True)
+    z = rec.trace[0]
+    worst = 0.0
+    for occ in rec.trace:
+        worst = max(worst, float(np.linalg.norm(occ - z)))
+        z = fluid_step(z, cfg).z
+    assert fluid_deviation(cfg, 200, seed, sol.z_star) == worst
+    assert worst > 0.0
 
 
 def test_trajectory_contracts_at_spectral_rate():
@@ -349,14 +489,6 @@ def test_degenerate_threshold_rejected():
     sol = solve_rp(cfg)
     with pytest.raises(DegenerateThresholdError):
         assemble_linear(cfg, sol)
-
-
-def cross_class_tie():
-    # w_star ~ 1 ties age 1 of both classes at the budget boundary
-    return NetworkConfig(
-        n=4, alpha=0.75, l=34,
-        classes=(ClassSpec(p=0.58, gamma=0.5), ClassSpec(p=0.88, gamma=0.5)),
-    )
 
 
 def test_cross_class_tie_at_w_star_is_certified():

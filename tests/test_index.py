@@ -14,6 +14,7 @@ from aoisched.index import (
     optimal_thresholds,
     sched_cost,
     stationary_distribution,
+    threshold_costs,
     whittle_index,
     whittle_index_table,
 )
@@ -186,3 +187,25 @@ def test_threshold_domain_messages(call):
         with pytest.raises(RangeError,
                            match=rf"^threshold must be an integer, got {bad!r}$"):
             call(bad)
+
+
+@pytest.mark.parametrize("p", P_GRID + (1e-4, 0.2, 0.9995))
+@pytest.mark.parametrize("l", L_GRID + (25,))
+def test_threshold_costs_equal_cost_pair_totals(p, l):
+    # oracle-check's grid at every threshold, bit for bit
+    table = whittle_index_table(np.array([p]), l)[0]
+    ws = sorted({0.0, *table, *(w + 0.5 for w in table[:-1])})
+    costs = threshold_costs(ws, p, l)
+    assert costs.shape == (len(ws), l + 1)
+    expected = [[cost_pair(n, float(w), p, l).total for n in range(1, l + 2)]
+                for w in ws]
+    assert costs.tobytes() == np.array(expected).tobytes()
+
+
+def test_threshold_costs_domain_errors():
+    with pytest.raises(RangeError, match="subsidy must be >= 0, got -1.0"):
+        threshold_costs([0.0, -1.0], 0.5, 5)
+    with pytest.raises(RangeError):
+        threshold_costs([1.0], 0.0, 5)
+    with pytest.raises(RangeError):
+        threshold_costs([1.0], 0.5, 1)

@@ -5,10 +5,16 @@ import pytest
 
 import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig, oracle
-from aoisched.errors import RangeError, SizeError
-from aoisched.index import cost_pair, optimal_thresholds, whittle_index
+from aoisched.errors import ConvergenceError, RangeError, SingularSystemError, SizeError
+from aoisched.index import (
+    cost_pair,
+    optimal_thresholds,
+    whittle_index,
+    whittle_index_table,
+)
 from aoisched.oracle import (
     joint_mdp_optimal,
+    rvi_grid,
     rvi_one_dim,
     stationary_by_balance,
 )
@@ -174,3 +180,72 @@ def test_rvi_domain_errors():
         rvi_one_dim(0.5, 1, 1.0)
     with pytest.raises(RangeError):
         rvi_one_dim(0.5, 3, -0.5)
+
+
+def oracle_check_grid(p, l):
+    """The subsidies oracle-check solves for one class."""
+    table = whittle_index_table(np.array([p]), l)[0]
+    return [float(w) for w in sorted({0.0, *table, *(w + 0.5 for w in table[:-1])})]
+
+
+def assert_same_results(got, expected):
+    assert len(got) == len(expected)
+    for res, want in zip(got, expected):
+        assert res.avg_cost == want.avg_cost
+        assert res.threshold == want.threshold
+        assert res.value_fn.tobytes() == want.value_fn.tobytes()
+        assert res.policy.dtype == want.policy.dtype
+        assert res.policy.tobytes() == want.policy.tobytes()
+
+
+GRID_CASES = [
+    # the grids of test_rvi_matches_best_stationary_threshold
+    *((p, l, [0.0, 0.4, 1.7, whittle_index(l - 1, p, l)])
+      for p in (0.2, 0.5, 0.8, 1.0) for l in (3, 7, 12)),
+    # oracle-check's grids on the analysis bench's two configs (L = 25)
+    *((p, 25, oracle_check_grid(p, 25)) for p in (0.5, 0.8, 0.2)),
+]
+
+
+@pytest.mark.parametrize("p, l, ws", GRID_CASES)
+def test_rvi_grid_matches_per_subsidy_loop(p, l, ws):
+    # one stacked solve per sweep gives each subsidy's own solve, bit for
+    # bit on every field
+    expected = [ref.policy_iteration(p, l, w) for w in ws]
+    assert_same_results(rvi_grid(p, l, ws), expected)
+    assert_same_results([rvi_one_dim(p, l, w) for w in ws], expected)
+
+
+@pytest.mark.parametrize("block", [1, 25 * 25 * 7, 10 ** 9])
+def test_rvi_grid_blocks_do_not_change_result(monkeypatch, block):
+    ws = oracle_check_grid(0.2, 25)
+    expected = [ref.policy_iteration(0.2, 25, w) for w in ws]
+    monkeypatch.setattr(oracle, "GRID_BLOCK", block)
+    assert_same_results(rvi_grid(0.2, 25, ws), expected)
+
+
+def test_rvi_grid_rejects_a_negative_subsidy_anywhere():
+    with pytest.raises(RangeError, match="subsidy must be >= 0, got -0.25"):
+        rvi_grid(0.5, 6, [0.0, 1.0, -0.25, 2.0])
+    assert rvi_grid(0.5, 6, []) == []
+
+
+def test_rvi_grid_singular_evaluation(monkeypatch):
+    # no valid input makes a policy's system singular (its first column
+    # is ones and the rest is I - P on ages 2..l), so the solver is made
+    # to fail
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystemError, match="policy evaluation singular"):
+        rvi_grid(0.5, 6, [0.0, 1.0])
+
+
+def test_rvi_grid_iteration_cap(monkeypatch):
+    # w = 0 starts from schedule-always and w = 40 from never-schedule,
+    # each already optimal, while w = 2 needs more than one sweep
+    monkeypatch.setattr(oracle, "MAX_ITERS", 1)
+    assert [res.threshold for res in rvi_grid(0.5, 6, [0.0, 40.0])] == [1, 7]
+    with pytest.raises(ConvergenceError, match="did not settle in 1 steps"):
+        rvi_grid(0.5, 6, [0.0, 2.0, 40.0])
