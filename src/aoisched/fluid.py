@@ -158,11 +158,6 @@ def _inside(masses: tuple, alpha: float) -> bool:
     return bool(above < alpha + REGION_TOL and at_or_above >= alpha - REGION_TOL)
 
 
-def _region_masses(z, cfg: NetworkConfig, sol: RelaxedSolution) -> tuple:
-    """_masses of z on the region's cells."""
-    return _masses(_as_array(z).ravel(), _region_cells(cfg, sol.w_star, sol.m))
-
-
 def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     """Membership in the linear region, both edges included (closed set).
 
@@ -173,14 +168,16 @@ def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     is exactly alpha and only class m's tied cells are partly served.
     Without a cross-class tie at w_star this is all of j_wstar.
     """
-    return _inside(_region_masses(z, cfg, sol), cfg.alpha)
+    cells = _region_cells(cfg, sol.w_star, sol.m)
+    return _inside(_masses(_as_array(z).ravel(), cells), cfg.alpha)
 
 
 def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
     """Margin of z inside the linear region, negative outside: the
     smaller of alpha - fully served mass and that mass plus class m's
     tied mass - alpha (see in_region)."""
-    above, at_or_above = _region_masses(z, cfg, sol)
+    cells = _region_cells(cfg, sol.w_star, sol.m)
+    above, at_or_above = _masses(_as_array(z).ravel(), cells)
     return float(min(cfg.alpha - above, at_or_above - cfg.alpha))
 
 

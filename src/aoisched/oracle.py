@@ -57,9 +57,11 @@ JOINT_STATE_CAP = 2 * 10 ** 5
 STATE_BLOCK = 2 ** 12
 # rvi_grid stacks at most this many system entries (subsidies times l*l)
 # per solve, which bounds its work arrays; the results do not depend on it.
-# oracle-check at L=200 (2 vCPUs): 5.2 s and 68 MB max RSS at 2**20,
-# 5.8 s and 43 MB here, 6.0 s and 37 MB at 2**16; 6.1-6.8 s and 33 MB one
-# subsidy at a time. At L=25 one block holds a class's whole grid.
+# oracle-check at L=200 (2 vCPUs): 5.9 s and 402 MB max RSS with the
+# whole grid in one block, 5.2 s and 68 MB at 2**20, 5.8 s and 43 MB here,
+# 6.0 s and 37 MB at 2**16; 6.1-8.9 s and 33 MB one subsidy at a time.
+# Up to l = 50 one block holds a class's whole grid of at most 2l points,
+# so no benchmark workload (oracle-check at L=25) takes the blocked path.
 GRID_BLOCK = 2 ** 18
 
 

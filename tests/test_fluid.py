@@ -286,7 +286,7 @@ def test_linear_region_memory_is_its_blocks():
     # the critical class 0 is never fully served
     (0.02, (0.02, 0.9), 1000),
 ])
-def test_block_without_served_tail_is_not_formed(alpha, ps, l):
+def test_block_without_served_tail_is_not_formed(monkeypatch, alpha, ps, l):
     # such a block is strictly lower triangular as stored, so it is
     # certified nilpotent without forming or squaring the (l-1)^2 block
     cfg = NetworkConfig(n=400, alpha=alpha, l=l, classes=tuple(
@@ -296,7 +296,10 @@ def test_block_without_served_tail_is_not_formed(alpha, ps, l):
     report, certified = traced_peak(spectral_report, sysm)
     assert certified < 8 * (l - 1) ** 2 / 4
     assert report["route_agreement"] < 1e-12
-    # with a one-column tail the block is checked as a tail quotient
+    # with the structural check off, the whole block goes down the
+    # squaring route, with no tail and with a one-column tail
+    monkeypatch.setattr(fluid, "_lower_quotient", lambda *args: False)
+    assert report == spectral_report(sysm)
     assert report == spectral_report(
         dataclasses.replace(sysm, full_from=(l, sysm.full_from[1])))
 
