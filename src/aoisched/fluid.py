@@ -99,7 +99,6 @@ class FluidTrajectory:
     in_region: np.ndarray
     contraction: float | None
     converged: bool
-    final: OccupancyVector
 
 
 def _as_array(z) -> np.ndarray:
@@ -146,16 +145,12 @@ def _region_cells(cfg: NetworkConfig, w_star: float, m: int) -> tuple:
     return above, at
 
 
-def _masses(flat: np.ndarray, cells: tuple) -> tuple:
-    """Mass of the fully served cells, and that plus class m's tied mass."""
+def _margin(flat: np.ndarray, cells: tuple, alpha: float) -> float:
+    """alpha minus the fully served mass, or that mass plus class m's
+    tied mass minus alpha, whichever is smaller."""
     above_cells, at_cells = cells
     above = flat[above_cells].sum()
-    return above, above + flat[at_cells].sum()
-
-
-def _inside(masses: tuple, alpha: float) -> bool:
-    above, at_or_above = masses
-    return bool(above < alpha + REGION_TOL and at_or_above >= alpha - REGION_TOL)
+    return float(min(alpha - above, above + flat[at_cells].sum() - alpha))
 
 
 def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
@@ -166,10 +161,10 @@ def in_region(z, cfg: NetworkConfig, sol: RelaxedSolution) -> bool:
     cells of classes before the critical class m) is below alpha, and
     adding class m's tied mass covers alpha. So the scheduled fraction
     is exactly alpha and only class m's tied cells are partly served.
-    Without a cross-class tie at w_star this is all of j_wstar.
+    Without a cross-class tie at w_star this is all of j_wstar. Both
+    tests allow REGION_TOL: region_margin(z, cfg, sol) >= -REGION_TOL.
     """
-    cells = _region_cells(cfg, sol.w_star, sol.m)
-    return _inside(_masses(_as_array(z).ravel(), cells), cfg.alpha)
+    return region_margin(z, cfg, sol) >= -REGION_TOL
 
 
 def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
@@ -177,8 +172,7 @@ def region_margin(z, cfg: NetworkConfig, sol: RelaxedSolution) -> float:
     smaller of alpha - fully served mass and that mass plus class m's
     tied mass - alpha (see in_region)."""
     cells = _region_cells(cfg, sol.w_star, sol.m)
-    above, at_or_above = _masses(_as_array(z).ravel(), cells)
-    return float(min(cfg.alpha - above, at_or_above - cfg.alpha))
+    return _margin(_as_array(z).ravel(), cells, cfg.alpha)
 
 
 def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSystem:
@@ -482,28 +476,31 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
 
 
 def spectral_report(sys: LinearRegionSystem) -> dict:
-    """JSON-ready report: radius, eigenvalues, and route agreement."""
+    """JSON-ready report: radius, eigenvalues, and route agreement.
+
+    Raises ConvergenceError when the block-spectrum radius and the
+    closed-form radius differ by more than ROUTE_TOL.
+    """
     eigs = _block_spectrum(sys)
     dense = float(np.abs(eigs).max()) if eigs.size else 0.0
     closed = _closed_form_radius(sys)
+    agreement = abs(dense - closed)
+    if agreement > ROUTE_TOL:
+        raise ConvergenceError(
+            f"spectral routes disagree: dense {dense} vs closed form {closed}"
+        )
     order = np.argsort(-np.abs(eigs))
     return {
         "rho": dense,
         "rho_closed_form": closed,
-        "route_agreement": abs(dense - closed),
+        "route_agreement": agreement,
         "eigenvalues": [[float(e.real), float(e.imag)] for e in eigs[order]],
     }
 
 
 def spectral_radius(sys: LinearRegionSystem) -> float:
     """max |eigenvalue| of q, certified by two independent routes."""
-    report = spectral_report(sys)
-    if report["route_agreement"] > ROUTE_TOL:
-        raise ConvergenceError(
-            f"spectral routes disagree: dense {report['rho']} vs closed form "
-            f"{report['rho_closed_form']}"
-        )
-    return report["rho"]
+    return spectral_report(sys)["rho"]
 
 
 def reduce_occupancy(z, sys: LinearRegionSystem) -> np.ndarray:
@@ -537,7 +534,7 @@ def fluid_trajectory(
         if t:
             z = _expected_slot(z, cfg)
         distances[t] = float(np.linalg.norm(z[0] - z_star))
-        flags[t] = _inside(_masses(z[0], cells), cfg.alpha)
+        flags[t] = _margin(z[0], cells, cfg.alpha) >= -REGION_TOL
     ratios = []
     for t in range(steps // 2, steps):
         if distances[t] > ZERO_DIST and distances[t + 1] > ZERO_DIST:
@@ -553,5 +550,4 @@ def fluid_trajectory(
         in_region=flags,
         contraction=contraction,
         converged=bool(distances[-1] < 1e-8),
-        final=OccupancyVector(z=z.reshape(zmat.shape)),
     )

@@ -11,7 +11,6 @@ solver need.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .errors import RangeError
 
 # Tolerance for deciding that a subsidy equals an index value exactly.
 TIE_TOL = 1e-12
-# Below this base, powers of (1 - p) are evaluated in log space.
-LOG_POW_BASE = 1e-3
 
 
 def _check_p(p: float) -> None:
@@ -39,17 +36,6 @@ def _check_threshold(n: int, l: int) -> None:
         raise RangeError(f"threshold must be an integer, got {n!r}")
     if not 1 <= n <= l + 1:
         raise RangeError(f"threshold {n} outside 1..{l + 1}")
-
-
-def _qpow(q: float, x: int) -> float:
-    """q ** x for q = 1 - p, stable for tiny bases and large exponents."""
-    if x == 0:
-        return 1.0
-    if q <= 0.0:
-        return 0.0
-    if q < LOG_POW_BASE:
-        return math.exp(x * math.log(q))
-    return q ** x
 
 
 def whittle_index(i: int, p: float, l: int) -> float:
@@ -72,7 +58,7 @@ def whittle_index(i: int, p: float, l: int) -> float:
     _check_l(l)
     if not 1 <= i <= l:
         raise RangeError(f"age {i} outside 1..{l}")
-    return i * (i - 1) * p / 2.0 + i - i * _qpow(1.0 - p, l - i)
+    return i * (i - 1) * p / 2.0 + i - i * (1.0 - p) ** (l - i)
 
 
 def index_gap(i: int, p: float, l: int) -> float:
@@ -86,7 +72,7 @@ def index_gap(i: int, p: float, l: int) -> float:
     _check_l(l)
     if not 1 <= i <= l - 1:
         raise RangeError(f"gap index {i} outside 1..{l - 1}")
-    return (i * p + 1.0) * (1.0 - _qpow(1.0 - p, l - i - 1))
+    return (i * p + 1.0) * (1.0 - (1.0 - p) ** (l - i - 1))
 
 
 def whittle_index_table(p: np.ndarray, l: int) -> np.ndarray:
@@ -126,7 +112,7 @@ def stationary_distribution(n: int, p: float, l: int) -> np.ndarray:
     u[: n - 1] = p / denom
     if n <= l - 1:
         u[n - 1 : l - 1] = (1.0 - p) ** np.arange(0, l - n) * (p / denom)
-    u[l - 1] = _qpow(1.0 - p, l - n) / denom
+    u[l - 1] = (1.0 - p) ** (l - n) / denom
     return u
 
 
@@ -143,7 +129,7 @@ def age_cost(n: int, p: float, l: int) -> float:
     if n == l + 1:
         return float(l)
     num = ((n - 1) ** 2 + (n - 1)) * p * p + 2.0 * p * (n - 1) + 2.0 * (
-        1.0 - _qpow(1.0 - p, l - n + 1)
+        1.0 - (1.0 - p) ** (l - n + 1)
     )
     den = 2.0 * p * ((n - 1) * p + 1.0)
     return num / den

@@ -21,7 +21,6 @@ from .errors import (
     IntegralityError,
     ParseError,
     RangeError,
-    ShapeError,
 )
 
 GAMMA_SUM_TOL = 1e-12
@@ -74,36 +73,18 @@ class NetworkConfig:
 
 @dataclass(frozen=True, eq=False)
 class OccupancyVector:
-    """Per-class, per-age population fractions, shape (k, l).
+    """Per-class, per-age population fractions, shape (k, l), read-only.
 
     z[k][i-1] is the fraction of all n users that belong to class k and
-    currently have age i. Empirical vectors keep their integer counts so
-    entries stay exact multiples of 1/n.
+    currently have age i.
     """
 
     z: np.ndarray
-    counts: np.ndarray | None = None
-    n: int | None = None
 
     def __post_init__(self) -> None:
         z = np.array(self.z, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        if self.counts is not None:
-            c = np.array(self.counts, dtype=np.int64)
-            c.setflags(write=False)
-            object.__setattr__(self, "counts", c)
-
-    @property
-    def k(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.z.shape[1]
-
-    def mass_by_class(self) -> np.ndarray:
-        return self.z.sum(axis=1)
 
 
 def validate_config(cfg: NetworkConfig) -> NetworkConfig:
@@ -144,30 +125,6 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     if not 0 < m < cfg.n:
         raise RangeError(f"slot budget m={m} must satisfy 0 < m < n={cfg.n}")
     return cfg
-
-
-def empirical_occupancy(ages_by_class, cfg: NetworkConfig) -> OccupancyVector:
-    """Count per-user ages, grouped by class, into an occupancy vector.
-
-    ages_by_class is a sequence of k sequences; group k must hold exactly
-    gamma_k*n ages, each in {1, ..., l}.
-    """
-    if len(ages_by_class) != cfg.k:
-        raise ShapeError(
-            f"expected {cfg.k} class groups, got {len(ages_by_class)}"
-        )
-    sizes = cfg.class_sizes()
-    counts = np.zeros((cfg.k, cfg.l), dtype=np.int64)
-    for k, group in enumerate(ages_by_class):
-        ages = np.asarray(group, dtype=np.int64)
-        if ages.ndim != 1 or ages.shape[0] != sizes[k]:
-            raise ShapeError(
-                f"class {k}: expected {sizes[k]} users, got {ages.shape}"
-            )
-        if ages.size and (ages.min() < 1 or ages.max() > cfg.l):
-            raise RangeError(f"class {k}: ages must lie in 1..{cfg.l}")
-        counts[k] = np.bincount(ages - 1, minlength=cfg.l)
-    return OccupancyVector(z=counts / cfg.n, counts=counts, n=cfg.n)
 
 
 def config_from_dict(doc: dict) -> NetworkConfig:

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import RangeError, ShapeError
 from .index import TIE_TOL, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
-from .relaxed import RelaxedSolution, rp_coin
+from .relaxed import RelaxedSolution, rp_coin, solve_rp
 
 HITTING_CAP = 10 ** 6
 # Fraction of the horizon discarded by the warm-up-trimmed average.
@@ -116,7 +116,6 @@ class SimRecord:
     per_user_avg_age: float
     per_user_avg_age_trimmed: float
     final_occupancy: OccupancyVector
-    trace: np.ndarray | None = None
 
 
 def class_ids(cfg: NetworkConfig) -> np.ndarray:
@@ -316,7 +315,7 @@ def _check_rows(replications: int) -> None:
 
 def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
              seed: int | np.random.SeedSequence, initial,
-             record_trace: bool = False, replications: int | None = None):
+             replications: int | None = None):
     """Run seeded replications and return their averages.
 
     With replications None one replication runs and its SimRecord is
@@ -336,7 +335,6 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
     skip = int(horizon * WARMUP_FRACTION)
     head = np.zeros(rows, dtype=np.int64)
     tail = np.zeros(rows, dtype=np.int64)
-    trace = np.empty((horizon, rows, k * l), dtype=np.int64) if record_trace else None
     for t, counts in enumerate(_paths(cfg, policy, initial, rows,
                                       np.random.default_rng(seed))):
         if t == horizon:
@@ -345,16 +343,12 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
             head += counts @ cell_ages
         else:
             tail += counts @ cell_ages
-        if record_trace:
-            trace[t] = counts
     records = []
     for r in range(rows):
-        final = counts[r].reshape(k, l)
         records.append(SimRecord(
             per_user_avg_age=int(head[r] + tail[r]) / (horizon * n),
             per_user_avg_age_trimmed=int(tail[r]) / ((horizon - skip) * n),
-            final_occupancy=OccupancyVector(z=final / n, counts=final, n=n),
-            trace=trace[:, r].reshape(horizon, k, l) / n if record_trace else None,
+            final_occupancy=OccupancyVector(z=counts[r].reshape(k, l) / n),
         ))
     return records[0] if replications is None else records
 
@@ -375,8 +369,6 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float,
         raise RangeError(f"cap must be >= 0, got {cap}")
     _check_rows(replications)
     if sol is None:
-        from .relaxed import solve_rp
-
         sol = solve_rp(cfg)
     z_star = sol.z_star.z.ravel()
     hits: list[int | None] = [None] * replications

@@ -356,6 +356,21 @@ def test_degenerate_spectrum_is_computation_error(tmp_path, capsys):
     assert stderr_error(capsys)["error"] == "DegenerateThresholdError"
 
 
+def test_spectral_route_disagreement_is_convergence_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # stable: true is printed only when the two spectral routes agree
+    closed_form = aoisched.fluid._closed_form_radius
+    monkeypatch.setattr("aoisched.fluid._closed_form_radius",
+                        lambda sysm: closed_form(sysm) + 1e-6)
+    assert main(["spectral", "--config", write_config(tmp_path, CHEAP)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    error = json.loads(captured.err)
+    assert error["error"] == "ConvergenceError"
+    assert error["message"].startswith("spectral routes disagree")
+
+
 def test_cross_class_tie_spectrum_is_certified(tmp_path, capsys):
     # the tie group at w_star spans both classes; fluid_step serves it
     # class by class, so z_star is its fixed point and the map certifies

@@ -1,6 +1,7 @@
 """Fluid map, linearized region dynamics, and spectral stability checks."""
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from aoisched.errors import (
 )
 from aoisched.fluid import (
     AFFINE_TOL,
+    REGION_TOL,
     assemble_linear,
     fluid_step,
     fluid_trajectory,
@@ -29,7 +31,7 @@ from aoisched.fluid import (
 from aoisched.index import TIE_TOL, whittle_index_table
 from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
-from aoisched.sim import fluid_deviation, simulate, whittle_policy
+from aoisched.sim import _paths, fluid_deviation, simulate, whittle_policy
 
 
 def one_class(p, l, alpha, n=12):
@@ -409,6 +411,37 @@ def test_region_margin_at_cross_class_tie():
     assert in_region(sol.z_star, cfg, sol)
 
 
+def edge_occupancy(cfg, sol, served, tied):
+    """z with `served` on one fully served cell, `tied` on one of class
+    m's tied cells and the rest on a cell of neither kind."""
+    above, at = fluid._region_cells(cfg, sol.w_star, sol.m)
+    z = np.zeros(cfg.k * cfg.l)
+    z[np.flatnonzero(above)[0]] = served
+    z[np.flatnonzero(at)[0]] = tied
+    z[np.flatnonzero(~above & ~at)[0]] = 1.0 - served - tied
+    return z.reshape(cfg.k, cfg.l)
+
+
+@pytest.mark.parametrize("cfg", [two_class_ref(), cross_class_tie()],
+                         ids=["reference", "cross_class_tie"])
+def test_region_edges_are_closed(cfg):
+    # The fully served mass at alpha and that mass plus class m's tied
+    # mass at alpha are both inside with margin 0; 2 * REGION_TOL past
+    # either edge is outside. The masses are dyadic, so the sums are exact.
+    sol = solve_rp(cfg)
+    alpha, step = cfg.alpha, 2 * REGION_TOL
+    edges = [(alpha, 0.0), (alpha - 0.0625, 0.0625)]
+    outside = [(alpha + step, 0.0), (alpha - 0.0625, 0.0625 - step)]
+    for served, tied in edges:
+        z = edge_occupancy(cfg, sol, served, tied)
+        assert in_region(z, cfg, sol)
+        assert region_margin(z, cfg, sol) == 0.0
+    for served, tied in outside:
+        z = edge_occupancy(cfg, sol, served, tied)
+        assert not in_region(z, cfg, sol)
+        assert region_margin(z, cfg, sol) == pytest.approx(-step, rel=1e-3)
+
+
 def stepwise_trajectory(z0, steps, cfg, sol):
     """Distances and in_region flags of a fluid_step loop on (k, l) arrays."""
     z = np.asarray(z0, dtype=float)
@@ -418,7 +451,7 @@ def stepwise_trajectory(z0, steps, cfg, sol):
             z = fluid_step(z, cfg).z
         distances.append(float(np.linalg.norm(z - sol.z_star.z)))
         flags.append(in_region(z, cfg, sol))
-    return np.array(distances), np.array(flags), z
+    return np.array(distances), np.array(flags)
 
 
 @pytest.mark.parametrize("cfg, steps", [
@@ -432,23 +465,25 @@ def test_trajectory_rows_match_fluid_step_loop(cfg, steps):
     sol = solve_rp(cfg)
     maxed = np.zeros((cfg.k, cfg.l))
     maxed[:, -1] = cfg.gamma_vector()
-    distances, flags, final = stepwise_trajectory(maxed, steps, cfg, sol)
+    distances, flags = stepwise_trajectory(maxed, steps, cfg, sol)
     traj = fluid_trajectory(maxed, steps, cfg, sol)
     assert traj.distances.tobytes() == distances.tobytes()
     assert traj.in_region.tolist() == flags.tolist()
-    assert traj.final.z.tobytes() == final.tobytes()
 
 
 @pytest.mark.parametrize("n, seed", [(80, 1), (320, 2)])
 def test_fluid_deviation_matches_fluid_step_loop(n, seed):
-    # the same kernel path, read from simulate's trace, against a
-    # fluid_step loop from its first state
+    # the same kernel path, read from the slot kernel's generator, against
+    # a fluid_step loop from its first state
     cfg = dataclasses.replace(two_class_ref(), n=n)
     sol = solve_rp(cfg)
-    rec = simulate(cfg, whittle_policy(), 200, seed, sol.z_star, record_trace=True)
-    z = rec.trace[0]
+    paths = _paths(cfg, whittle_policy(), sol.z_star, 1,
+                   np.random.default_rng(seed))
+    trace = [counts[0].reshape(cfg.k, cfg.l) / cfg.n
+             for counts in itertools.islice(paths, 200)]
+    z = trace[0]
     worst = 0.0
-    for occ in rec.trace:
+    for occ in trace:
         worst = max(worst, float(np.linalg.norm(occ - z)))
         z = fluid_step(z, cfg).z
     assert fluid_deviation(cfg, 200, seed, sol.z_star) == worst
@@ -479,7 +514,6 @@ def test_trajectory_from_all_stale_start():
     assert traj.distances[-1] < 1e-8
     # the orbit enters the linear region and stays there
     assert all(traj.in_region[-5:])
-    np.testing.assert_allclose(traj.final.z, sol.z_star.z, atol=1e-8)
 
 
 def test_degenerate_threshold_rejected():

@@ -9,14 +9,12 @@ from aoisched.errors import (
     IntegralityError,
     ParseError,
     RangeError,
-    ShapeError,
 )
 from aoisched.model import (
     ClassSpec,
     NetworkConfig,
     OccupancyVector,
     config_from_dict,
-    empirical_occupancy,
     load_config,
     validate_config,
 )
@@ -94,28 +92,6 @@ def test_occupancy_vector_is_write_protected():
     z = OccupancyVector(z=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         z.z[0, 0] = 1.0
-    assert z.k == 1 and z.l == 2
-    assert z.mass_by_class().tolist() == [1.0]
-
-
-def test_empirical_occupancy_counts_and_grid():
-    cfg = two_class(n=10, l=4)
-    occ = empirical_occupancy([[1, 1, 2, 4, 4], [1, 3, 3, 3, 4]], cfg)
-    assert occ.counts.tolist() == [[2, 1, 0, 2], [1, 0, 3, 1]]
-    assert np.allclose(occ.z * cfg.n, occ.counts)
-    assert occ.n == 10
-    # entries are exact multiples of 1/n
-    assert np.array_equal(occ.z, occ.counts / cfg.n)
-
-
-def test_empirical_occupancy_shape_and_range_errors():
-    cfg = two_class(n=10, l=4)
-    with pytest.raises(ShapeError):
-        empirical_occupancy([[1, 1, 2, 4, 4]], cfg)
-    with pytest.raises(ShapeError):
-        empirical_occupancy([[1, 1, 2, 4], [1, 3, 3, 3, 4]], cfg)
-    with pytest.raises(RangeError):
-        empirical_occupancy([[1, 1, 2, 4, 5], [1, 3, 3, 3, 4]], cfg)
 
 
 def test_config_from_dict_strict_keys():

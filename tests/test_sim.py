@@ -1,6 +1,7 @@
 """Discrete-event simulator: scheduling order, dynamics, and estimators."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from aoisched.sim import (
     PolicyKind,
     _advance,
     _greedy_rank,
+    _paths,
     _server,
     _whittle_rank,
     class_ids,
@@ -256,14 +258,17 @@ def test_reproducible_and_seed_sensitive():
 
 
 def test_trace_reconstructs_estimators():
+    # the kernel's own per-slot counts, from the seed simulate hands it
     cfg = mixed_ref()
     horizon = 50
-    rec = simulate(cfg, whittle_policy(), horizon, 9,
-                   np.ones(cfg.n, dtype=int), record_trace=True)
-    assert rec.trace.shape == (horizon, cfg.k, cfg.l)
-    np.testing.assert_allclose(rec.trace.sum(axis=(1, 2)), 1.0, atol=1e-12)
+    ones = np.ones(cfg.n, dtype=int)
+    rec = simulate(cfg, whittle_policy(), horizon, 9, ones)
+    paths = _paths(cfg, whittle_policy(), ones, 1, np.random.default_rng(9))
+    trace = np.array([counts[0].reshape(cfg.k, cfg.l) / cfg.n
+                      for counts in itertools.islice(paths, horizon)])
+    np.testing.assert_allclose(trace.sum(axis=(1, 2)), 1.0, atol=1e-12)
     ages = np.arange(1, cfg.l + 1)
-    per_slot = (rec.trace * ages).sum(axis=(1, 2))
+    per_slot = (trace * ages).sum(axis=(1, 2))
     assert rec.per_user_avg_age == pytest.approx(per_slot.mean(), abs=1e-12)
     cut = int(horizon * 0.1)
     assert rec.per_user_avg_age_trimmed == pytest.approx(
@@ -440,8 +445,8 @@ def test_batch_rows_rerun_identical_and_distinct():
         for x, y in zip(a, b):
             assert x.per_user_avg_age == y.per_user_avg_age
             assert x.per_user_avg_age_trimmed == y.per_user_avg_age_trimmed
-            np.testing.assert_array_equal(x.final_occupancy.counts,
-                                          y.final_occupancy.counts)
+            np.testing.assert_array_equal(x.final_occupancy.z,
+                                          y.final_occupancy.z)
         assert len({x.per_user_avg_age for x in a}) > 1
     sol = solve_rp(cfg)
     hits = hitting_times(cfg, ones, 0.3, 5, 6, cap=500, sol=sol)
