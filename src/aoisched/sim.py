@@ -6,7 +6,11 @@ users: its state is the number of users in each cell, flattened
 class-major to k*l counts (cell k*l + age - 1). That count vector is a
 Markov chain with the law of the per-user system for every statistic
 reported here. R replications are the rows of one (R, k*l) integer
-array, and one slot kernel advances all of them:
+array, and one slot kernel advances all of them.
+
+A served user who fails and an unserved user both age by one, so a slot
+needs only each cell's successes. Each policy draws them by its own
+rule (see _drawer):
 
 * whittle and greedy_max_age serve m users per row by _serve_in_order:
   cells in ascending _whittle_rank / _greedy_rank order (index or age
@@ -16,21 +20,24 @@ array, and one slot kernel advances all of them:
   them has the same law, because an unsuccessful user of either cell
   moves to age l. _expected_slot is the same rule on real masses, with
   budget alpha, so it is the kernel's expected whittle slot; it is
-  fluid.fluid_step on one row.
+  fluid.fluid_step on one row. When m <= k*l each served user draws
+  one uniform against its class's p; otherwise the successes are
+  Binomial(served, p_k).
 * uniform_random serves a multivariate hypergeometric sample of m users
-  by one of two exact draws (see _server): up to UNIFORM_PERMUTE_MAX_N
-  users, a row-wise permutation of the batch's R*n cell ids, one per
-  user; above it, one multivariate_hypergeometric call per row.
-* rp_threshold schedules users independently: Binomial(count, coin) of
-  each cell, with coin 1 at or above a class's upper threshold and the
-  relaxed.rp_coin probability on its randomized ages.
+  by one of two exact draws: up to UNIFORM_PERMUTE_MAX_N users, a
+  row-wise permutation of the batch's R*n cell ids, one per user, whose
+  first m ids each draw one uniform against p; above it, one
+  multivariate_hypergeometric call per row, then Binomial(served, p_k).
+* rp_threshold schedules each user with its cell's coin and the channel
+  succeeds with p, independently, so a cell's successes are one
+  Binomial(count, coin * p_k): coin 1 at or above a class's upper
+  threshold and the relaxed.rp_coin probability on its randomized ages.
 
-Successes are Binomial(served, p_k); successful users reset to age 1
-and every other user ages by one, truncated at l. All rows of a batch
-draw from one Generator, so row r depends on the number of rows as well
-as on the seed. Every entry point takes that seed as an int or a
-numpy SeedSequence and hands it to np.random.default_rng, which gives
-an int the stream of SeedSequence(int).
+Successful users reset to age 1 and every other user ages by one,
+truncated at l. All rows of a batch draw from one Generator, so row r
+depends on the number of rows as well as on the seed. Every entry point
+takes that seed as an int or a numpy SeedSequence and hands it to
+np.random.default_rng, which gives an int the stream of SeedSequence(int).
 """
 from __future__ import annotations
 
@@ -157,6 +164,14 @@ def _whittle_order(cfg: NetworkConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _greedy_order(cfg: NetworkConfig) -> np.ndarray:
+    """Flat cells in ascending _greedy_rank."""
+    order = np.argsort(_greedy_rank(cfg).ravel(), kind="stable")
+    order.setflags(write=False)
+    return order
+
+
+@lru_cache(maxsize=32)
 def _p_cells(cfg: NetworkConfig) -> np.ndarray:
     """Success probability of each flat cell, class-major."""
     p_cells = np.repeat(cfg.p_vector(), cfg.l)
@@ -179,46 +194,67 @@ def _serve_in_order(amounts: np.ndarray, budget, order: np.ndarray) -> np.ndarra
     return served
 
 
-def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
-    """Per-user ages from either explicit ages or an occupancy vector.
-
-    Occupancies are rounded to the 1/n grid by largest-remainder
-    apportionment within each class; users of a class get its ages in
-    increasing order.
-    """
+def _initial_array(initial, cfg: NetworkConfig) -> np.ndarray:
+    """Explicit ages, checked and cast to int64, or a (k, l) occupancy."""
     if isinstance(initial, OccupancyVector):
         initial = initial.z
     arr = np.asarray(initial)
-    if arr.ndim == 1:
-        if arr.shape != (cfg.n,):
-            raise ShapeError(f"expected {cfg.n} ages, got {arr.shape}")
-        ages = arr.astype(np.int64)
-        if ages.min() < 1 or ages.max() > cfg.l:
-            raise RangeError(f"ages must lie in 1..{cfg.l}")
-        return ages
-    if arr.shape != (cfg.k, cfg.l):
-        raise ShapeError(f"occupancy shape {arr.shape} != {(cfg.k, cfg.l)}")
-    ages = np.empty(cfg.n, dtype=np.int64)
-    start = 0
-    for k, size in enumerate(cfg.class_sizes()):
-        target = arr[k] * cfg.n
-        counts = np.floor(target).astype(np.int64)
-        short = size - counts.sum()
-        if short < 0:
-            raise ShapeError(f"class {k}: occupancy mass exceeds gamma*n")
-        if short > 0:
-            remainder = target - counts
-            top = np.argsort(-remainder, kind="stable")[:short]
-            counts[top] += 1
-        ages[start : start + size] = np.repeat(
-            np.arange(1, cfg.l + 1), counts
-        )
-        start += size
+    if arr.ndim != 1:
+        if arr.shape != (cfg.k, cfg.l):
+            raise ShapeError(f"occupancy shape {arr.shape} != {(cfg.k, cfg.l)}")
+        return arr
+    if arr.shape != (cfg.n,):
+        raise ShapeError(f"expected {cfg.n} ages, got {arr.shape}")
+    ages = arr.astype(np.int64)
+    if ages.min() < 1 or ages.max() > cfg.l:
+        raise RangeError(f"ages must lie in 1..{cfg.l}")
     return ages
 
 
+def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
+    """The k*l cell counts of explicit ages or of an occupancy vector.
+
+    Occupancies are rounded to the 1/n grid by largest-remainder
+    apportionment within each class.
+    """
+    arr = _initial_array(initial, cfg)
+    if arr.ndim == 1:
+        return np.bincount(class_ids(cfg) * cfg.l + arr - 1,
+                           minlength=cfg.k * cfg.l)
+    target = arr * cfg.n
+    counts = np.floor(target).astype(np.int64)
+    for k, size in enumerate(cfg.class_sizes()):
+        short = size - counts[k].sum()
+        if short < 0:
+            raise ShapeError(f"class {k}: occupancy mass exceeds gamma*n")
+        if short > 0:
+            remainder = target[k] - counts[k]
+            top = np.argsort(-remainder, kind="stable")[:short]
+            counts[k, top] += 1
+    return counts.ravel()
+
+
+def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
+    """Per-user ages from either explicit ages or an occupancy vector.
+
+    Explicit ages are checked and returned as int64. An occupancy is
+    rounded by _initial_counts, and users of a class get its ages in
+    increasing order.
+    """
+    arr = _initial_array(initial, cfg)
+    if arr.ndim == 1:
+        return arr
+    return np.repeat(np.tile(np.arange(1, cfg.l + 1), cfg.k),
+                     _initial_counts(arr, cfg))
+
+
 def _rp_coins(cfg: NetworkConfig, policy: PolicyKind) -> np.ndarray:
-    """Per-cell scheduling probability of rp_threshold, shape (k, l)."""
+    """Per-cell scheduling probability of rp_threshold, shape (k, l).
+
+    A user is scheduled with its cell's coin and succeeds with p,
+    independently, so the kernel draws a cell's successes as one
+    Binomial(count, coin * p).
+    """
     ages = np.arange(1, cfg.l + 1)
     coins = np.zeros((cfg.k, cfg.l))
     for k, ((l1, l2), p) in enumerate(zip(policy.thresholds, cfg.p_vector())):
@@ -229,42 +265,65 @@ def _rp_coins(cfg: NetworkConfig, policy: PolicyKind) -> np.ndarray:
     return coins
 
 
-def _server(cfg: NetworkConfig, policy: PolicyKind):
-    """The policy's rule on counts: serve(counts, rng) -> served per cell.
+def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
+    """The policy's slot on (rows, k*l) counts: draw(counts, rng) -> successes.
+
+    Each rule is an exact draw of the per-user law. Where users are drawn
+    one by one, ids index the batch's flat cells and p_rows is their
+    success probability.
 
     uniform_random has two exact draws of one multivariate hypergeometric
-    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the (R, k*l) counts
-    to R*n cell ids, one per user, shuffles each row and serves its first
-    m ids, since the first m entries of a uniform permutation are a
-    uniform m-subset; time and memory are O(R*n). Above the cutoff it
-    makes one Generator.multivariate_hypergeometric call per row, whose
-    cost does not grow with n; the permutation overtakes it between
-    n = 1000 and 1500 at k*l = 100. The two draws give different streams.
+    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the counts to R*n
+    cell ids, one per user, shuffles each row and serves its first m ids,
+    since the first m entries of a uniform permutation are a uniform
+    m-subset; time and memory are O(R*n). Above the cutoff it makes one
+    Generator.multivariate_hypergeometric call per row, whose cost does
+    not grow with n; the permutation overtakes it between n = 1000 and
+    1500 at k*l = 100. The two draws give different streams.
     """
     m = cfg.m
+    p_cells = _p_cells(cfg)
+    ids = np.arange(rows * cfg.k * cfg.l)
+    p_rows = np.tile(p_cells, rows)
+
+    def bernoulli(cell, rng):
+        won = cell[rng.random(cell.size) < p_rows[cell]]
+        return np.bincount(won, minlength=ids.size).reshape(rows, -1)
+
     if policy.kind in ("whittle", "greedy_max_age"):
         order = (_whittle_order(cfg) if policy.kind == "whittle"
-                 else np.argsort(_greedy_rank(cfg).ravel(), kind="stable"))
-
-        def serve(counts, rng):
-            return _serve_in_order(counts, m, order)
+                 else _greedy_order(cfg))
+        # One uniform per served user costs O(R*m); Generator.binomial
+        # costs about 6 us per call plus 8-10 ns per cell, served or not.
+        # One success draw from Dirichlet-spread counts, R = 8 and
+        # 16 rows (2 vCPUs, numpy 2.4): at k*l = 100 the uniforms took
+        # 6-35 us against 15-59 us for m <= 100, and 20-56 against
+        # 29-64 us at m = 200; at k*l = 1000, 58-176 against 157-390 us
+        # for m <= 1000, but 598-650 against 487-497 us at m = 2000,
+        # R = 16. So the crossover lies between k*l and 2*k*l.
+        if m <= cfg.k * cfg.l:
+            def draw(counts, rng):
+                served = _serve_in_order(counts, m, order)
+                return bernoulli(np.repeat(ids, served.ravel()), rng)
+        else:
+            def draw(counts, rng):
+                return rng.binomial(_serve_in_order(counts, m, order), p_cells)
     elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
-        def serve(counts, rng):
+        def draw(counts, rng):
             # Every row sums to n, so row r's n ids are its own cells.
-            ids = np.repeat(np.arange(counts.size), counts.ravel())
-            kept = rng.permuted(ids.reshape(len(counts), -1), axis=1)[:, :m]
-            return np.bincount(kept.ravel(), minlength=counts.size).reshape(
-                counts.shape)
+            users = np.repeat(ids, counts.ravel()).reshape(rows, -1)
+            return bernoulli(rng.permuted(users, axis=1)[:, :m].ravel(), rng)
     elif policy.kind == "uniform_random":
-        def serve(counts, rng):
-            return np.array([rng.multivariate_hypergeometric(row, m)
-                             for row in counts])
+        def draw(counts, rng):
+            served = np.array([rng.multivariate_hypergeometric(row, m)
+                               for row in counts])
+            return rng.binomial(served, p_cells)
     else:
-        coins = _rp_coins(cfg, policy).ravel()
+        q_cells = _rp_coins(cfg, policy).ravel() * p_cells
 
-        def serve(counts, rng):
-            return rng.binomial(counts, coins)
-    return serve
+        def draw(counts, rng):
+            return rng.binomial(counts, q_cells)
+    return draw
 
 
 def _advance(counts, successes, l: int) -> np.ndarray:
@@ -295,17 +354,14 @@ def _expected_slot(masses: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
 def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
     """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
 
-    Every row starts from the per-cell counts of make_initial_ages(initial).
-    Callers must not modify a yielded array.
+    Every row starts from _initial_counts(initial). Callers must not
+    modify a yielded array.
     """
-    serve = _server(cfg, policy)
-    p_cells = _p_cells(cfg)
-    cells = class_ids(cfg) * cfg.l + make_initial_ages(initial, cfg) - 1
-    counts = np.tile(np.bincount(cells, minlength=cfg.k * cfg.l), (rows, 1))
+    draw = _drawer(cfg, policy, rows)
+    counts = np.tile(_initial_counts(initial, cfg), (rows, 1))
     while True:
         yield counts
-        served = serve(counts, rng)
-        counts = _advance(counts, rng.binomial(served, p_cells), cfg.l)
+        counts = _advance(counts, draw(counts, rng), cfg.l)
 
 
 def _check_rows(replications: int) -> None:

@@ -11,8 +11,10 @@ policy iteration one subsidy at a time for the single-user MDP, the
 oracle-check payload built from that loop and scalar cost_pair calls,
 a relaxed solver that recomputes the thresholds of each candidate
 subsidy from scratch, per-user scheduling and slot rules with
-a simulator that follows every user, and a joint-MDP solver over every
-user-age vector.
+a simulator that follows every user, the per-class loop that turned an
+initial occupancy into per-user ages, the count kernel's old slot that
+served cells first and drew Binomial(served, p) successes, and a
+joint-MDP solver over every user-age vector.
 Tests compare the package against them; nothing in src/ imports this
 module.
 """
@@ -48,8 +50,13 @@ from aoisched.relaxed import (
     scheduled_fraction,
 )
 from aoisched.sim import (
+    UNIFORM_PERMUTE_MAX_N,
     WARMUP_FRACTION,
+    _advance,
     _greedy_rank,
+    _rp_coins,
+    _serve_in_order,
+    _whittle_order,
     _whittle_rank,
     class_ids,
     make_initial_ages,
@@ -549,6 +556,84 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
             sched = np.flatnonzero((ages >= hi) | ((ages >= lo) & (coins < coin)))
         ages = step(ages, sched, p_user, l, rng)
     return total / (horizon * n), total_tail / ((horizon - skip) * n)
+
+
+def initial_ages(initial, cfg) -> np.ndarray:
+    """Per-user ages from explicit ages or an occupancy, class by class.
+
+    Occupancies are rounded to the 1/n grid by largest-remainder
+    apportionment within each class; users of a class get its ages in
+    increasing order.
+    """
+    if isinstance(initial, OccupancyVector):
+        initial = initial.z
+    arr = np.asarray(initial)
+    if arr.ndim == 1:
+        return arr.astype(np.int64)
+    ages = np.empty(cfg.n, dtype=np.int64)
+    start = 0
+    for k, size in enumerate(cfg.class_sizes()):
+        target = arr[k] * cfg.n
+        counts = np.floor(target).astype(np.int64)
+        short = size - counts.sum()
+        if short > 0:
+            remainder = target - counts
+            top = np.argsort(-remainder, kind="stable")[:short]
+            counts[top] += 1
+        ages[start : start + size] = np.repeat(np.arange(1, cfg.l + 1), counts)
+        start += size
+    return ages
+
+
+def server(cfg, policy):
+    """The policy's rule on counts: serve(counts, rng) -> served per cell.
+
+    uniform_random has two exact draws of one multivariate hypergeometric
+    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the (R, k*l) counts
+    to R*n cell ids, one per user, shuffles each row and serves its first
+    m ids, since the first m entries of a uniform permutation are a
+    uniform m-subset. Above the cutoff it makes one
+    Generator.multivariate_hypergeometric call per row.
+    """
+    m = cfg.m
+    if policy.kind in ("whittle", "greedy_max_age"):
+        order = (_whittle_order(cfg) if policy.kind == "whittle"
+                 else np.argsort(_greedy_rank(cfg).ravel(), kind="stable"))
+
+        def serve(counts, rng):
+            return _serve_in_order(counts, m, order)
+    elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
+        def serve(counts, rng):
+            ids = np.repeat(np.arange(counts.size), counts.ravel())
+            kept = rng.permuted(ids.reshape(len(counts), -1), axis=1)[:, :m]
+            return np.bincount(kept.ravel(), minlength=counts.size).reshape(
+                counts.shape)
+    elif policy.kind == "uniform_random":
+        def serve(counts, rng):
+            return np.array([rng.multivariate_hypergeometric(row, m)
+                             for row in counts])
+    else:
+        coins = _rp_coins(cfg, policy).ravel()
+
+        def serve(counts, rng):
+            return rng.binomial(counts, coins)
+    return serve
+
+
+def binomial_paths(cfg, policy, initial, rows: int, rng):
+    """The count kernel's old slot: serve, then Binomial(served, p) successes.
+
+    Yields the (rows, k*l) counts of slots 0, 1, 2, ... from the cell
+    counts of initial_ages(initial).
+    """
+    serve = server(cfg, policy)
+    p_cells = np.repeat(cfg.p_vector(), cfg.l)
+    cells = class_ids(cfg) * cfg.l + initial_ages(initial, cfg) - 1
+    counts = np.tile(np.bincount(cells, minlength=cfg.k * cfg.l), (rows, 1))
+    while True:
+        yield counts
+        served = serve(counts, rng)
+        counts = _advance(counts, rng.binomial(served, p_cells), cfg.l)
 
 
 def joint_mdp_optimal(cfg) -> float:

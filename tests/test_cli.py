@@ -124,26 +124,39 @@ def stdout_digest(capsys, argv):
 def test_simulate_stdout_is_pinned(tmp_path, capsys):
     # the digest moves with any change to the seeding rule, the RNG
     # streams, the scheduled sets or the CSV formatting; it last moved
-    # with uniform_random's permutation draw at small n
+    # when the kernel began to draw only successes (same law, new stream)
     digest = stdout_digest(capsys, [
         "simulate", "--config", write_config(tmp_path, CHEAP),
         "--policies", "whittle,greedy_max_age,rp_threshold,uniform_random",
         "--initial", "star", "--replications", "3", "--horizon", "300",
         "--seed", "5"])
     assert digest == (
-        "c6b184eae9dd116fd9af0ceca1a8ce55eaf8a5c04492c08e047b4f8e7cc71942"
+        "83efb0cca50757515e69b8e334db1a0ec67bfb04a696901084b01aa9635798f1"
     )
 
 
 def test_hitting_time_stdout_is_pinned(tmp_path, capsys):
-    # three replications hit within the cap and one does not
+    # every replication hits within the cap; the digest last moved when
+    # the kernel began to draw only successes (same law, new stream)
     digest = stdout_digest(capsys, [
         "hitting-time", "--config", write_config(tmp_path, CHEAP),
         "--epsilon", "0.15", "--initial", "maxed", "--replications", "4",
         "--cap", "40", "--seed", "5"])
     assert digest == (
-        "1c0f5ffa1fa5b47f5a88bc2781667c892c6bdd1b9a1e0b0c63edeb369f5902a5"
+        "ed3b3e75f4eaba17796314f26d0918ff2784b2e68a4602963290f20ae665a480"
     )
+
+
+def test_hitting_time_unresolved_rows_are_empty(tmp_path, capsys):
+    # a replication that has not entered the ball by the cap prints an
+    # empty hitting_time field
+    rc = main(["hitting-time", "--config", write_config(tmp_path, CHEAP),
+               "--epsilon", "1e-9", "--initial", "maxed", "--replications", "2",
+               "--cap", "5", "--seed", "5"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[7] for line in lines[1:]] == ["", ""]
 
 
 def test_fluid_command(tmp_path, capsys):
