@@ -9,19 +9,18 @@ stderr.
 
 Experiment sweeps write three files into --out: rows.csv with one row
 per (n, policy, replication), summary.json with per-point means and
-standard errors, and plot.csv aggregated for external plotters. Each
-(n, policy) point runs its replications as one batch of the simulator's
-count kernel, seeded from the master seed and the point by one rule,
-_point_seeds; _point_rows builds a point's rows for both experiment
-and simulate, and hitting-time takes its seed from the same rule. Rows
-are written in a fixed nested order and floats use repr round-trip
-formatting, so reruns with the same master seed produce byte-identical
-bodies.
+standard errors, and plot.csv with the same per-point statistics, one
+line per point sorted by (n, policy). Each (n, policy) point runs its
+replications as one batch of the simulator's count kernel, seeded from
+the master seed and the point by one rule, _point_seeds; _point_rows
+builds a point's rows for both experiment and simulate, and
+hitting-time takes its seed from the same rule. Rows are written in a
+fixed nested order and floats use repr round-trip formatting, so reruns
+with the same master seed produce byte-identical bodies.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -33,7 +32,6 @@ import numpy as np
 from .errors import (
     ComputationError,
     ConvergenceError,
-    DuplicateKeyError,
     ParseError,
     RangeError,
     ValidationError,
@@ -167,11 +165,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     _point_rows under the _point_seeds rule. A point's rows therefore do
     not depend on the other points of the sweep, but row r depends on
     the replication count, because all rows of a batch share one
-    generator. Every input is checked, and the output directory
-    created, before the first simulation.
+    generator. Each point's means and stderrs are computed once, by
+    _mean_stderr, for summary.json; plot.csv writes the same points
+    sorted by (n, policy). Every input is checked, out included (an
+    empty or missing out is a RangeError, never the working directory),
+    and the output directory created, before the first simulation.
     """
-    if spec.out is None:
-        raise RangeError("experiment requires an output directory")
+    if not spec.out:
+        raise RangeError("experiment requires --out, a directory for result files")
     _check_policies(spec.policies)
     if not spec.n_sweep:
         raise RangeError("n sweep is empty")
@@ -238,71 +239,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
     summary_path = out_dir / "summary.json"
     _emit(summary, summary_path)
-    plot_path = emit_plot_data(rows_path, out_dir / "plot.csv")
+    plot_path = out_dir / "plot.csv"
+    _write_plot(points, plot_path)
     return {
         "rows": str(rows_path),
         "summary": str(summary_path),
         "plot": str(plot_path),
     }
-
-
-def emit_plot_data(csv_path, out_path=None) -> Path:
-    """Aggregate a rows.csv into per-(n, policy) means and stderrs.
-
-    Output rows are sorted by (n, policy). Raises ParseError on a
-    malformed file, DuplicateKeyError when the same (n, policy, seed)
-    appears twice and RangeError when out_path cannot be written.
-    """
-    csv_path = Path(csv_path)
-    if out_path is None:
-        out_path = csv_path.with_name(csv_path.stem + "_plot.csv")
-    try:
-        text = csv_path.read_text()
-    except OSError as err:
-        raise ParseError(f"cannot read {csv_path}: {err}") from err
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"bad header in {csv_path}: expected {CSV_HEADER!r}")
-
-    groups: dict[tuple[int, str], dict[str, list]] = {}
-    seen = set()
-    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
-        if not row:
-            continue
-        if len(row) != 8:
-            raise ParseError(f"{csv_path}:{lineno}: expected 8 fields, got {len(row)}")
-        try:
-            seed = int(row[0])
-            n = int(row[1])
-            name = row[2]
-            age = float(row[4]) if row[4] else None
-            gap = float(row[6]) if row[6] else None
-            hit = float(row[7]) if row[7] else None
-        except ValueError as err:
-            raise ParseError(f"{csv_path}:{lineno}: {err}") from err
-        key = (n, name, seed)
-        if key in seen:
-            raise DuplicateKeyError(f"{csv_path}:{lineno}: duplicate row key {key}")
-        seen.add(key)
-        bucket = groups.setdefault((n, name), {"age": [], "gap": [], "hit": [], "rows": 0})
-        bucket["age"].append(age)
-        bucket["gap"].append(gap)
-        bucket["hit"].append(hit)
-        bucket["rows"] += 1
-
-    out_lines = [PLOT_HEADER]
-    for (n, name), bucket in sorted(groups.items()):
-        age_mean, age_se = _mean_stderr(bucket["age"])
-        gap_mean, gap_se = _mean_stderr(bucket["gap"])
-        hit_mean, hit_se = _mean_stderr(bucket["hit"])
-        out_lines.append(",".join([
-            str(n), name, str(bucket["rows"]),
-            _fmt(age_mean), _fmt(age_se),
-            _fmt(gap_mean), _fmt(gap_se),
-            _fmt(hit_mean), _fmt(hit_se),
-        ]))
-    _output("\n".join(out_lines) + "\n", out_path)
-    return Path(out_path)
 
 
 def _output(text: str, out) -> None:
@@ -339,10 +282,18 @@ def _cmd_solve_rp(args) -> int:
     return 0
 
 
-def _write_rows(rows, out) -> None:
-    """Write CSV_HEADER and one line per row to out (stdout when empty)."""
+def _write_rows(rows, out, header=CSV_HEADER) -> None:
+    """Write header and one line per row to out (stdout when empty)."""
     body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    _output(CSV_HEADER + "\n" + body + "\n", out)
+    _output(header + "\n" + body + "\n", out)
+
+
+def _write_plot(points, out) -> None:
+    """Write plot.csv: the PLOT_HEADER fields of each point, by (n, policy)."""
+    keys = PLOT_HEADER.split(",")
+    rows = [[point[key] for key in keys]
+            for point in sorted(points, key=lambda p: (p["n"], p["policy"]))]
+    _write_rows(rows, out, PLOT_HEADER)
 
 
 def _cmd_simulate(args) -> int:
@@ -464,8 +415,6 @@ def _u64(text: str) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if not args.out:
-        raise RangeError("experiment requires --out, a directory for result files")
     spec = ExperimentSpec(
         base=load_config(args.config),
         n_sweep=_parse_int_list(args.n_sweep),

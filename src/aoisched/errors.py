@@ -35,11 +35,7 @@ class ShapeError(ValidationError):
 
 
 class ParseError(ValidationError):
-    """Malformed JSON config or CSV input."""
-
-
-class DuplicateKeyError(ValidationError):
-    """Duplicate (n, policy, seed) row in an experiment CSV."""
+    """Malformed JSON config or command line."""
 
 
 class SizeError(ValidationError):

@@ -17,11 +17,11 @@ from aoisched.cli import (
     CSV_HEADER,
     PLOT_HEADER,
     ExperimentSpec,
-    emit_plot_data,
+    _mean_stderr,
     main,
     run_experiment,
 )
-from aoisched.errors import DuplicateKeyError, ParseError, RangeError
+from aoisched.errors import ParseError, RangeError
 from aoisched.fluid import region_margin
 from aoisched.relaxed import solve_rp
 
@@ -543,58 +543,64 @@ def test_experiment_hitting_column_gated(tmp_path):
     dict(cap=-1),
     dict(n_sweep=(12, 12)),
     dict(policies=("whittle", "whittle")),
+    dict(out=""),
 ])
-def test_experiment_validation(tmp_path, kw):
+def test_experiment_validation(tmp_path, monkeypatch, kw):
+    # Path("") is the working directory: an empty out must not reach it.
+    monkeypatch.chdir(tmp_path)
     kw = dict(kw)
     out = kw.pop("out", tmp_path / "x")
     with pytest.raises(RangeError):
         run_experiment(experiment_spec(out, **kw))
-    assert not (tmp_path / "x").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_emit_plot_data_aggregates(tmp_path):
-    src = tmp_path / "rows.csv"
-    src.write_text("\n".join([
-        CSV_HEADER,
-        "0,12,whittle,100,2.0,1.5,0.25,",
-        "1,12,whittle,100,4.0,1.5,0.75,",
-        "0,12,greedy_max_age,100,3.0,1.5,1.0,7",
-    ]) + "\n")
-    out = emit_plot_data(src, tmp_path / "plot.csv")
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == PLOT_HEADER
-    greedy, whittle = lines[1], lines[2]
-    gf = greedy.split(",")
-    assert gf[0:3] == ["12", "greedy_max_age", "1"]
-    assert float(gf[3]) == 3.0 and float(gf[4]) == 0.0
-    assert float(gf[7]) == 7.0 and float(gf[8]) == 0.0
-    wf = whittle.split(",")
-    assert wf[0:3] == ["12", "whittle", "2"]
-    assert float(wf[3]) == 3.0
+@pytest.mark.parametrize("out", [[], ["--out", ""]])
+def test_experiment_cli_without_out_is_validation_error(tmp_path, capsys,
+                                                        monkeypatch, out):
+    cfg_path = write_config(tmp_path, CHEAP)
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", "12",
+                 "--replications", "1", "--horizon", "10"] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "RangeError" and "--out" in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_mean_stderr():
     # sample stderr of {2, 4} is 1
-    assert float(wf[4]) == pytest.approx(1.0, abs=1e-12)
-    assert wf[7] == "" and wf[8] == ""
+    mean, se = _mean_stderr([2.0, 4.0])
+    assert mean == 3.0 and se == pytest.approx(1.0, abs=1e-12)
+    assert _mean_stderr([7]) == (7.0, 0.0)
+    assert _mean_stderr([None, 2.0, None, 4.0]) == _mean_stderr([2.0, 4.0])
+    assert _mean_stderr([None, None]) == (None, None)
+    assert _mean_stderr([]) == (None, None)
 
 
-def test_emit_plot_data_rejects_duplicates(tmp_path):
-    src = tmp_path / "rows.csv"
-    src.write_text("\n".join([
-        CSV_HEADER,
-        "0,12,whittle,100,2.0,1.5,0.25,",
-        "0,12,whittle,100,4.0,1.5,0.75,",
-    ]) + "\n")
-    with pytest.raises(DuplicateKeyError):
-        emit_plot_data(src, tmp_path / "plot.csv")
-
-
-@pytest.mark.parametrize("body", [
-    "wrong,header\n0,12,whittle,100,2.0,1.5,0.25,\n",
-    CSV_HEADER + "\n0,12,whittle,100,2.0\n",
-    CSV_HEADER + "\n0,12,whittle,100,not_a_number,1.5,0.25,\n",
-    CSV_HEADER + "\nzero,12,whittle,100,2.0,1.5,0.25,\n",
-])
-def test_emit_plot_data_rejects_malformed(tmp_path, body):
-    src = tmp_path / "rows.csv"
-    src.write_text(body)
-    with pytest.raises(ParseError):
-        emit_plot_data(src, tmp_path / "plot.csv")
+def test_plot_rows_are_the_summary_points(tmp_path):
+    # plot.csv is summary.json's points, sorted by (n, policy), with
+    # numbers written by repr and None as an empty field.
+    run_experiment(experiment_spec(tmp_path, n_sweep=(24, 12), epsilon=0.5,
+                                   horizon=100))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    lines = (tmp_path / "plot.csv").read_text().splitlines()
+    assert lines[0] == PLOT_HEADER
+    keys = PLOT_HEADER.split(",")
+    points = sorted(summary["points"], key=lambda p: (p["n"], p["policy"]))
+    assert [(p["n"], p["policy"]) for p in points] == [
+        (12, "greedy_max_age"), (12, "whittle"),
+        (24, "greedy_max_age"), (24, "whittle")]
+    assert len(lines) == 1 + len(points)
+    for line, point in zip(lines[1:], points):
+        want = ["" if point[k] is None else
+                repr(point[k]) if isinstance(point[k], float) else str(point[k])
+                for k in keys]
+        assert line.split(",") == want
+    # whittle rows carry a hitting time under epsilon, greedy rows do not
+    assert all(p["hitting_time_mean"] is not None
+               for p in points if p["policy"] == "whittle")
+    assert all(p["hitting_time_mean"] is None
+               for p in points if p["policy"] == "greedy_max_age")

@@ -205,10 +205,20 @@ def test_experiment_rows_are_pinned(tmp_path):
         replications=2, horizon=300, seed=7, out=str(tmp_path),
         epsilon=0.5, initial="maxed",
     ))
-    digest = hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()
-    assert digest == (
-        "8209d2ce09d72fcc3cb1e2e5023ab305503bde47293aa7d7cb462276bf18abf7"
-    )
+    # summary.json and plot.csv are pinned too: both are reduced from the
+    # same rows, so any change to how a point's statistics are computed
+    # or written moves one of these digests while rows.csv stays put.
+    want = {
+        "rows.csv":
+            "8209d2ce09d72fcc3cb1e2e5023ab305503bde47293aa7d7cb462276bf18abf7",
+        "summary.json":
+            "0cfed82651af5b4af4db9aec9e12d67cc6f61e1afb8af64ea2f2ab63b3fdf758",
+        "plot.csv":
+            "1eed847c3c646626903b3c5909e49acd56f09f0c9ecbe4e707b2b864dca764a7",
+    }
+    for name, digest in want.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
 
 
 def test_random_tie_break_spreads_selection():
