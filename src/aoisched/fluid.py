@@ -10,8 +10,8 @@ Inside the linear region, where the budget saturates exactly around the
 critical index value w_star, the map is affine. Without a cross-class
 tie at w_star that region is all of j_wstar; with one, the tied cells of
 classes before the critical class m must be fully served and only class
-m's partly (in_region). assemble_linear builds
-that affine map explicitly: one coordinate per class is eliminated
+m's partly (in_region). assemble_linear builds that affine map
+explicitly on the same cells: one coordinate per class is eliminated
 through the per-class mass constraint (the age l_star_k - 1 coordinate
 for k != m, age l_star_m for the critical class), giving z' = Q z + c on
 the reduced coordinates. Q is kept as what is not zero in it: one
@@ -49,10 +49,10 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .index import TIE_TOL, whittle_index_table
+from .index import tie_groups, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution
-from .sim import _expected_slot
+from .sim import _expected_slot, _whittle_rank
 
 REGION_TOL = 1e-12
 AFFINE_TOL = 1e-10
@@ -130,16 +130,15 @@ def fluid_step(z, cfg: NetworkConfig) -> OccupancyVector:
 def _region_cells(cfg: NetworkConfig, w_star: float, m: int) -> tuple:
     """Flat masks of the cells served in full and of those served in part.
 
-    In full: the cells strictly above w_star, and the cells tied with it
-    in classes before the critical class m, which the kernel serves
-    first in a tie group. In part: class m's tied cells. Tied cells of
-    classes after m are not served.
+    A cut of the kernel's service order: in part, class m's cells in the
+    index.tie_groups group at w_star, one sim._whittle_rank; in full, the
+    cells of lower rank, so higher groups and the tied cells of classes
+    before m, which the kernel serves first in a tie group.
     """
-    table = whittle_index_table(cfg.p_vector(), cfg.l)
-    tied = np.abs(table - w_star) <= TIE_TOL
-    cls = np.arange(cfg.k)[:, None]
-    above = ((table > w_star + TIE_TOL) | (tied & (cls < m))).ravel()
-    at = (tied & (cls == m)).ravel()
+    _, values = tie_groups(whittle_index_table(cfg.p_vector(), cfg.l))
+    cut = (values.size - 1 - np.searchsorted(values, w_star)) * cfg.k + m
+    rank = _whittle_rank(cfg).ravel()
+    above, at = rank < cut, rank == cut
     above.setflags(write=False)
     at.setflags(write=False)
     return above, at
@@ -184,8 +183,9 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
     other cell idles. This is fluid_step's rule: solve_rp flips tied
     classes in class order, so on a tie group at w_star the classes
     before m are fully served, m partly and those after m not at all,
-    the order in which the kernel serves the group. Without a
-    cross-class tie it holds on all of j_wstar. Per class the flows are
+    the order in which the kernel serves the group. `full` is
+    _region_cells' mask, so in_region tests where this map holds; without
+    a cross-class tie that is all of j_wstar. Per class the flows are
     z' = a_z z + a_s s, with a_z the truncated age shift and a_s the
     reset of served mass to age 1 at rate p_k, so the full-coordinate
     map is z' = b z + alpha a_s[:, c0] with
@@ -217,14 +217,10 @@ def assemble_linear(cfg: NetworkConfig, sol: RelaxedSolution) -> LinearRegionSys
                 "coordinate to eliminate"
             )
 
-    reduction = tuple(
-        sol.l_star[k] if k == m else sol.l_star[k] - 1 for k in range(k_cls)
-    )
-    full_from = tuple(
-        sol.thresholds[m][0] if k == m else sol.l_star[k] for k in range(k_cls)
-    )
+    reduction = tuple(s if k == m else s - 1 for k, s in enumerate(sol.l_star))
+    full = _region_cells(cfg, sol.w_star, m)[0].reshape(k_cls, l)
+    full_from = tuple(int(f) for f in l + 1 - full.sum(axis=1))
     ages = np.arange(1, l + 1)
-    full = [ages >= f for f in full_from]
     keep = [ages != reduction[k] for k in range(k_cls)]
     col0 = _flows(ages - 1, sol.l_star[m] - 1, l, p_vec[m])[1]
 

@@ -83,6 +83,19 @@ def whittle_index_table(p: np.ndarray, l: int) -> np.ndarray:
     return ages * (ages - 1.0) * pv / 2.0 + ages - ages * (1.0 - pv) ** (l - ages)
 
 
+def tie_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one tie rule: each cell's group id and each group's smallest value.
+
+    Sorted values start a new group where adjacent values differ by more
+    than TIE_TOL, so a chain of near ties is one group. Ids ascend from 0.
+    """
+    flat = np.ravel(table)
+    order = np.argsort(flat, kind="stable")
+    first = np.diff(flat[order], prepend=-np.inf) > TIE_TOL
+    group = (np.cumsum(first) - 1)[np.argsort(order)]
+    return group.reshape(np.shape(table)), flat[order][first]
+
+
 def stationary_distribution(n: int, p: float, l: int) -> np.ndarray:
     """Stationary law of the age chain under the threshold-n policy.
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import InfeasibleError, RangeError
 from .index import (
-    TIE_TOL,
     age_cost,
     stationary_distribution,
+    tie_groups,
     whittle_index_table,
 )
 from .model import NetworkConfig, OccupancyVector, validate_config
@@ -132,13 +132,13 @@ def _mixture_z(cfg, thresholds, m, theta, l_star) -> np.ndarray:
 def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
     """Solve the relaxed problem by sweeping the index values.
 
-    Candidate subsidies are the distinct index values in ascending order.
-    The scheduled fraction A(w) is a nonincreasing step function of the
-    subsidy, equal to A1 (all classes at l1) just after a candidate and
-    to A2 (all classes at l2) just before it, so the first candidate with
-    A1 <= alpha <= A2 is the critical one. The thresholds of every class
-    at every candidate are counts of index values, as in
-    optimal_thresholds, read off one sorted table by binary search.
+    Candidates are the index.tie_groups groups at their smallest values,
+    ascending. The scheduled fraction A(w) is a nonincreasing step
+    function of the subsidy, equal to A1 (all classes at l1) just after
+    a candidate and to A2 (all classes at l2) just before it, so the
+    first candidate with A1 <= alpha <= A2 is the critical one. At group
+    g, class k's l2 is 1 plus its cells in lower groups and l1 adds its
+    cells in g, so solve_rp ties cells as the slot kernel does.
     Classes tied at the critical value are then flipped from l1 to l2 in
     class order; the flip that crosses alpha identifies the critical
     class m and its randomization theta_star. Classes flipped before m
@@ -146,16 +146,11 @@ def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
     """
     validate_config(cfg)
     alpha, l = cfg.alpha, cfg.l
-    table = whittle_index_table(cfg.p_vector(), l)
-    # Group near-identical values so exact ties form one candidate.
-    candidates = []
-    for v in np.unique(table):
-        if not candidates or v - candidates[-1] > TIE_TOL:
-            candidates.append(float(v))
-    w = np.array(candidates)
-    rows = np.sort(table, axis=1)
-    l1 = 1 + np.array([np.searchsorted(r, w + TIE_TOL, side="right") for r in rows])
-    l2 = 1 + np.array([np.searchsorted(r, w - TIE_TOL, side="left") for r in rows])
+    group, candidates = tie_groups(whittle_index_table(cfg.p_vector(), l))
+    # counts[k, g]: the cells of class k in tie group g
+    counts = np.array([np.bincount(g, minlength=candidates.size) for g in group])
+    l2 = 1 + np.cumsum(counts, axis=1) - counts
+    l1 = l2 + counts
     a_hi = _fractions(l1, cfg)
     a_lo = _fractions(l2, cfg)
     bracketing = (a_hi <= alpha + BUDGET_SLACK) & (alpha <= a_lo + BUDGET_SLACK)
@@ -189,7 +184,7 @@ def solve_rp(cfg: NetworkConfig) -> RelaxedSolution:
                     else:
                         c_rp += cls.gamma * age_cost(l_star[j], cls.p, l)
                 return RelaxedSolution(
-                    w_star=candidates[c],
+                    w_star=float(candidates[c]),
                     m=m,
                     theta_star=float(theta),
                     thresholds=pairs,

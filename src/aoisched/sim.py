@@ -47,11 +47,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .index import TIE_TOL, whittle_index_table
+from .index import tie_groups, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
 from .relaxed import RelaxedSolution, rp_coin, solve_rp
 
 HITTING_CAP = 10 ** 6
+# Largest |mass - gamma_k| of an initial occupancy's class k: float
+# rounding of masses that sum to gamma_k, far below one user's 1/n.
+OCCUPANCY_TOL = 1e-9
 # Fraction of the horizon discarded by the warm-up-trimmed average.
 WARMUP_FRACTION = 0.1
 
@@ -134,17 +137,12 @@ def _whittle_rank(cfg: NetworkConfig) -> np.ndarray:
     """Rank of each (class, age) cell under (index desc, class asc).
 
     The package's one cell service order, used by the slot kernel and
-    fluid_step. Cells sorted by index value fall into tie groups, a new
-    group wherever adjacent values differ by more than TIE_TOL; rank is
-    group * k + class, so the final user key (rank, user id) implements
-    the documented (class, user) tie-break.
+    fluid_step, on the index.tie_groups that solve_rp also reads: rank
+    is (max group - group) * k + class, so the final user key (rank,
+    user id) implements the documented (class, user) tie-break.
     """
-    flat = whittle_index_table(cfg.p_vector(), cfg.l).ravel()
-    order = np.argsort(-flat, kind="stable")
-    steps = np.diff(flat[order], prepend=flat[order[0]]) < -TIE_TOL
-    group = np.empty(order.size, dtype=np.int64)
-    group[order] = np.cumsum(steps)
-    return group.reshape(cfg.k, cfg.l) * cfg.k + np.arange(cfg.k)[:, None]
+    group, _ = tie_groups(whittle_index_table(cfg.p_vector(), cfg.l))
+    return (group.max() - group) * cfg.k + np.arange(cfg.k)[:, None]
 
 
 @lru_cache(maxsize=32)
@@ -195,13 +193,22 @@ def _serve_in_order(amounts: np.ndarray, budget, order: np.ndarray) -> np.ndarra
 
 
 def _initial_array(initial, cfg: NetworkConfig) -> np.ndarray:
-    """Explicit ages, checked and cast to int64, or a (k, l) occupancy."""
+    """Explicit ages, checked and cast to int64, or a (k, l) occupancy.
+
+    An occupancy's entries must be finite and nonnegative, and each
+    class's mass must be gamma_k to within OCCUPANCY_TOL.
+    """
     if isinstance(initial, OccupancyVector):
         initial = initial.z
     arr = np.asarray(initial)
     if arr.ndim != 1:
         if arr.shape != (cfg.k, cfg.l):
             raise ShapeError(f"occupancy shape {arr.shape} != {(cfg.k, cfg.l)}")
+        if not (np.isfinite(arr) & (arr >= 0)).all():
+            raise RangeError("occupancy entries must be finite and >= 0")
+        miss = np.abs(arr.sum(axis=1) - cfg.gamma_vector()).max()
+        if miss > OCCUPANCY_TOL:
+            raise ShapeError(f"occupancy class mass misses gamma by {miss:.3e}")
         return arr
     if arr.shape != (cfg.n,):
         raise ShapeError(f"expected {cfg.n} ages, got {arr.shape}")

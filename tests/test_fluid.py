@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig, fluid
+from aoisched.cli import main
 from aoisched.errors import (
     ConvergenceError,
     DegenerateThresholdError,
@@ -31,7 +33,15 @@ from aoisched.fluid import (
 from aoisched.index import TIE_TOL, whittle_index_table
 from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
-from aoisched.sim import _paths, fluid_deviation, simulate, whittle_policy
+from aoisched.sim import (
+    _paths,
+    _whittle_order,
+    _whittle_rank,
+    fluid_deviation,
+    simulate,
+    whittle_policy,
+)
+from test_relaxed import criterion5_config
 
 
 def one_class(p, l, alpha, n=12):
@@ -51,6 +61,17 @@ def cross_class_tie():
         n=4, alpha=0.75, l=34,
         classes=(ClassSpec(p=0.58, gamma=0.5), ClassSpec(p=0.88, gamma=0.5)),
     )
+
+
+def chained_tie():
+    # A class's age-1 index is 1 - (1 - p)**(l - 1). Classes 0 and 1 sit
+    # 1.5e-12 and 0.75e-12 below 1, class 2 within 1e-33 of it: adjacent
+    # values are 0.75e-12 apart, within TIE_TOL, but the ends 1.5e-12,
+    # so the three chain into one tie group at w_star
+    l, gaps = 34, (1.5e-12, 0.75e-12)
+    ps = [1.0 - g ** (1.0 / (l - 1)) for g in gaps] + [0.9]
+    return NetworkConfig(n=12, alpha=8 / 12, l=l, classes=tuple(
+        ClassSpec(p=p, gamma=1 / 3) for p in ps))
 
 
 def region_samples(cfg, sol, count=300, scale=0.05, seed=0):
@@ -549,6 +570,54 @@ def test_cross_class_tie_at_w_star_is_certified():
     traj = fluid_trajectory(ones, 400, cfg, sol)
     assert traj.converged
     assert traj.distances[-1] < 1e-12
+
+
+def test_chained_tie_is_one_group_for_solver_and_kernel(tmp_path, capsys):
+    # the age-1 values chain within TIE_TOL but their ends do not, so
+    # solve_rp must tie all three classes as the kernel does: a solver
+    # that grouped by distance from a group's first value leaves class 0
+    # out, and then fluid_step moves z_star by 5.9e-2, spectral exits 3
+    # and fluid does not converge
+    cfg = chained_tie()
+    age_one = np.sort(whittle_index_table(cfg.p_vector(), cfg.l)[:, 0])
+    assert np.diff(age_one).max() <= TIE_TOL < age_one[-1] - age_one[0]
+    sol = solve_rp(cfg)
+    moved = np.abs(fluid_step(sol.z_star, cfg).z - sol.z_star.z).max()
+    assert moved <= AFFINE_TOL
+    assemble_linear(cfg, sol)
+    assert sol.c_rp == pytest.approx(ref.solve_rp(cfg).c_rp, rel=0, abs=1e-12)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "n": cfg.n, "alpha": cfg.alpha, "l": cfg.l,
+        "classes": [{"p": c.p, "gamma": c.gamma} for c in cfg.classes]}))
+    assert main(["spectral", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is True
+    assert main(["fluid", "--config", str(path), "--initial", "ones",
+                 "--steps", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+def assert_region_is_kernel_cut(cfg):
+    """_region_cells' full mask is the cells before class m's first tied
+    cell in _whittle_order, and its partial mask that cell's rank."""
+    sol = solve_rp(cfg)
+    above, at = fluid._region_cells(cfg, sol.w_star, sol.m)
+    order = _whittle_order(cfg)
+    first = np.flatnonzero(at[order])[0]
+    assert np.array_equal(np.flatnonzero(above), np.sort(order[:first]))
+    rank = _whittle_rank(cfg).ravel()
+    assert np.array_equal(at, rank == rank[order[first]])
+
+
+def test_region_is_a_cut_of_the_kernel_order():
+    rng = np.random.default_rng(2020)
+    draws = (
+        [criterion5_config(rng) for _ in range(200)]
+        + [criterion5_config(rng, p_pool=(0.25, 0.5, 1.0)) for _ in range(100)]
+        + [chained_tie()]
+    )
+    for cfg in draws:
+        assert_region_is_kernel_cut(cfg)
 
 
 def test_kernel_at_large_n_ends_near_cross_class_tie_z_star():

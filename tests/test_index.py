@@ -8,6 +8,7 @@ import pytest
 
 from aoisched.errors import RangeError
 from aoisched.index import (
+    TIE_TOL,
     age_cost,
     cost_pair,
     index_gap,
@@ -15,6 +16,7 @@ from aoisched.index import (
     sched_cost,
     stationary_distribution,
     threshold_costs,
+    tie_groups,
     whittle_index,
     whittle_index_table,
 )
@@ -209,3 +211,15 @@ def test_threshold_costs_domain_errors():
         threshold_costs([1.0], 0.0, 5)
     with pytest.raises(RangeError):
         threshold_costs([1.0], 0.5, 1)
+
+
+def test_tie_groups_chain_adjacent_values():
+    # 0.75*TIE_TOL steps chain into one group although its ends lie
+    # 1.5*TIE_TOL apart; a 2*TIE_TOL step starts a new group. Ids ascend
+    # with value and each group reports its smallest value
+    step = 0.75 * TIE_TOL
+    table = np.array([[1.0 + 2 * step, 3.0, 1.0],
+                      [1.0 + step, 1.0 + 2 * step + 2 * TIE_TOL, 0.5]])
+    group, values = tie_groups(table)
+    assert group.tolist() == [[1, 3, 1], [1, 2, 0]]
+    assert values.tolist() == [0.5, 1.0, 1.0 + 2 * step + 2 * TIE_TOL, 3.0]

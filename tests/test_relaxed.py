@@ -160,8 +160,9 @@ def criterion5_config(rng, p_pool=None, max_l=30):
 
 
 def test_solve_rp_matches_loop_reference():
-    # one sorted table and a binary search per class against the loop
-    # that calls optimal_thresholds for every candidate: identical fields
+    # thresholds counted from index.tie_groups against the loop that
+    # calls optimal_thresholds for every candidate: identical fields
+    # wherever no tie group spans more than TIE_TOL, as on all these draws
     rng = np.random.default_rng(20260819)
     draws = (
         [criterion5_config(rng) for _ in range(200)]

@@ -14,6 +14,7 @@ from aoisched.index import whittle_index_table
 from aoisched.fluid import fluid_step
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
+    OCCUPANCY_TOL,
     POLICY_NAMES,
     UNIFORM_PERMUTE_MAX_N,
     PolicyKind,
@@ -332,6 +333,34 @@ def test_initial_ages_validation():
         make_initial_ages(np.ones(cfg.n - 1, dtype=int), cfg)
     with pytest.raises(ShapeError):
         whittle_schedule(np.ones(3, dtype=int), cfg)
+
+
+def one_class_400():
+    return NetworkConfig(n=400, alpha=0.5, l=3,
+                         classes=(ClassSpec(p=0.5, gamma=1.0),))
+
+
+@pytest.mark.parametrize("z, error", [
+    # mass 0.75 of gamma 1: 303 of the 400 users, if it were rounded
+    ([0.25, 0.25, 0.25], ShapeError),
+    ([0.5, 0.5, 0.25], ShapeError),
+    ([0.5, 0.5 + 2 * OCCUPANCY_TOL, 0.0], ShapeError),
+    ([1.25, -0.25, 0.0], RangeError),
+    ([np.nan, 0.5, 0.5], RangeError),
+    ([np.inf, 0.0, 0.0], RangeError),
+], ids=["short", "over", "past_tolerance", "negative", "nan", "inf"])
+def test_invalid_occupancy_rejected(z, error):
+    cfg = one_class_400()
+    with pytest.raises(error):
+        make_initial_ages(np.array([z]), cfg)
+    with pytest.raises(error):
+        simulate(cfg, whittle_policy(), 10, 0, np.array([z]))
+
+
+def test_occupancy_within_tolerance_accepted():
+    cfg = one_class_400()
+    z = np.array([[0.5, 0.5 - 0.5 * OCCUPANCY_TOL, 0.0]])
+    assert np.bincount(make_initial_ages(z, cfg)).tolist() == [0, 200, 200]
 
 
 def test_initial_counts_are_the_binned_initial_ages():
