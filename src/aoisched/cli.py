@@ -46,6 +46,7 @@ from .sim import (
     HITTING_CAP,
     POLICY_NAMES,
     PolicyKind,
+    check_horizon,
     hitting_times,
     rp_policy,
     simulate,
@@ -168,8 +169,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     generator. Each point's means and stderrs are computed once, by
     _mean_stderr, for summary.json; plot.csv writes the same points
     sorted by (n, policy). Every input is checked, out included (an
-    empty or missing out is a RangeError, never the working directory),
-    and the output directory created, before the first simulation.
+    empty or missing out is a RangeError, never the working directory)
+    and every point by check_horizon, before the output directory is
+    created and the first simulation runs.
     """
     if not spec.out:
         raise RangeError("experiment requires --out, a directory for result files")
@@ -180,8 +182,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         raise RangeError(f"repeated n in sweep {list(spec.n_sweep)}")
     if spec.replications < 1:
         raise RangeError(f"replications must be >= 1, got {spec.replications}")
-    if spec.horizon < 1:
-        raise RangeError(f"horizon must be >= 1, got {spec.horizon}")
     if spec.epsilon is not None and not spec.epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {spec.epsilon}")
     if spec.cap < 0:
@@ -189,6 +189,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     if spec.initial not in INITIAL_KINDS:
         raise RangeError(f"unknown initial state kind {spec.initial!r}")
     configs = [_config_with_n(spec.base, n) for n in spec.n_sweep]
+    for cfg in configs:
+        check_horizon(cfg, spec.horizon)
     out_dir = Path(spec.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,8 @@ and checked as its O(l) nonzero numbers, a sub-diagonal and at most
 three dense rows. A critical or never-served class is nilpotent by
 construction, and its quotient is certified from those entries when
 they make it strictly lower triangular; only a quotient that is not is
-formed and squared.
+formed and squared, as for a class whose index values chain into one
+tie group (one class, p = 1e-13, l = 5, alpha = 2/12).
 """
 from __future__ import annotations
 
@@ -438,7 +439,9 @@ def _block_spectrum(sys: LinearRegionSystem) -> np.ndarray:
     quotient (the whole block when there is no tail) is certified from
     its stored entries when _lower_quotient finds it strictly lower
     triangular, and is otherwise formed and squared past the nilpotency
-    index.
+    index. The latter happens to a class whose index values chain into
+    one tie group, fully served only from l+1: at p = 1e-13, l = 5 its
+    quotient's age-2 row is all -1.
     """
     d = sys.l - 1
     parts = []

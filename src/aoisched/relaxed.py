@@ -7,6 +7,8 @@ the critical value w_star and class m where the scheduled fraction
 crosses alpha, and randomizes class m between its two optimal thresholds
 so the budget binds exactly. The resulting per-user average age c_rp is
 a lower bound for every policy that respects the per-slot budget.
+rp_coins plays that optimum out user by user: the per-cell scheduling
+probabilities that the simulator's rp_threshold policy draws from.
 """
 from __future__ import annotations
 
@@ -37,7 +39,12 @@ class RelaxedSolution:
     w_star : the critical subsidy; always one of the index values.
     m : zero-based id of the critical class, the one that randomizes.
     theta_star : probability of using the lower threshold l2 in class m.
-    thresholds : per-class optimal threshold pairs (l1_k, l2_k) at w_star.
+    thresholds : per-class pairs (l1_k, l2_k) counted on the
+        index.tie_groups groups: l2 is 1 plus the class's cells in
+        groups below w_star's, and l1 adds its cells in w_star's group,
+        which may chain values more than TIE_TOL above w_star, unlike
+        index.optimal_thresholds. rp_coins reads only thresholds[m],
+        and l_star for every class.
     z_star : occupancy fixed point induced by the optimal policy.
     c_rp : per-user average age at the optimum, in [1, l].
     l_star : per-class effective threshold used by the fluid linear
@@ -115,6 +122,21 @@ def rp_coin(theta: float, l1: int, l2: int, p: float, l: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rp_coins(sol: RelaxedSolution, cfg: NetworkConfig) -> np.ndarray:
+    """Per-cell scheduling probability of the optimum, shape (k, l).
+
+    Class k is scheduled surely from l_star[k] on, except that the
+    critical class m (l_star[m] = l2) takes the rp_coin probability on
+    its ages [l2, l1), which makes the expected average age c_rp.
+    """
+    ages = np.arange(1, cfg.l + 1)
+    coins = (ages >= np.array(sol.l_star)[:, None]).astype(float)
+    l1, l2 = sol.thresholds[sol.m]
+    coins[sol.m, l2 - 1 : l1 - 1] = rp_coin(
+        sol.theta_star, l1, l2, float(cfg.classes[sol.m].p), cfg.l)
+    return coins
 
 
 def _mixture_z(cfg, thresholds, m, theta, l_star) -> np.ndarray:

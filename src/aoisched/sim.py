@@ -30,8 +30,8 @@ rule (see _drawer):
   multivariate_hypergeometric call per row, then Binomial(served, p_k).
 * rp_threshold schedules each user with its cell's coin and the channel
   succeeds with p, independently, so a cell's successes are one
-  Binomial(count, coin * p_k): coin 1 at or above a class's upper
-  threshold and the relaxed.rp_coin probability on its randomized ages.
+  Binomial(count, coin * p_k), the coins being relaxed.rp_coins of the
+  policy's relaxed solution.
 
 Successful users reset to age 1 and every other user ages by one,
 truncated at l. All rows of a batch draw from one Generator, so row r
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import RangeError, ShapeError
 from .index import tie_groups, whittle_index_table
 from .model import NetworkConfig, OccupancyVector
-from .relaxed import RelaxedSolution, rp_coin, solve_rp
+from .relaxed import RelaxedSolution, rp_coins, solve_rp
 
 HITTING_CAP = 10 ** 6
 # Largest |mass - gamma_k| of an initial occupancy's class k: float
@@ -72,24 +72,19 @@ class PolicyKind:
     """Scheduling policy selector.
 
     kind is one of POLICY_NAMES. rp_threshold carries the relaxed
-    solution's data: per-class (l1, l2) pairs (equal entries for
-    non-critical classes, set to their effective threshold) and
-    theta_star, from which the per-age coin on [l2, l1) is derived. It
-    schedules every user that passes its own randomized threshold test,
-    so the number of scheduled users varies by design; the other
-    policies schedule exactly m users.
+    solution it plays out and schedules each user with its cell's
+    relaxed.rp_coins probability, so the number of scheduled users
+    varies by design; the other policies schedule exactly m users.
     """
 
     kind: str
-    theta_star: float | None = None
-    thresholds: tuple[tuple[int, int], ...] | None = None
+    solution: RelaxedSolution | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_NAMES:
             raise RangeError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "rp_threshold":
-            if self.theta_star is None or self.thresholds is None:
-                raise RangeError("rp_threshold needs theta_star and thresholds")
+        if self.kind == "rp_threshold" and self.solution is None:
+            raise RangeError("rp_threshold needs a relaxed solution")
 
 
 def whittle_policy() -> PolicyKind:
@@ -106,17 +101,7 @@ def uniform_policy() -> PolicyKind:
 
 def rp_policy(sol: RelaxedSolution) -> PolicyKind:
     """Randomized threshold policy realizing the relaxed optimum."""
-    pairs = []
-    for k, (l1, l2) in enumerate(sol.thresholds):
-        if k == sol.m:
-            pairs.append((l1, l2))
-        else:
-            pairs.append((sol.l_star[k], sol.l_star[k]))
-    return PolicyKind(
-        kind="rp_threshold",
-        theta_star=sol.theta_star,
-        thresholds=tuple(pairs),
-    )
+    return PolicyKind(kind="rp_threshold", solution=sol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,23 +240,6 @@ def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
                      _initial_counts(arr, cfg))
 
 
-def _rp_coins(cfg: NetworkConfig, policy: PolicyKind) -> np.ndarray:
-    """Per-cell scheduling probability of rp_threshold, shape (k, l).
-
-    A user is scheduled with its cell's coin and succeeds with p,
-    independently, so the kernel draws a cell's successes as one
-    Binomial(count, coin * p).
-    """
-    ages = np.arange(1, cfg.l + 1)
-    coins = np.zeros((cfg.k, cfg.l))
-    for k, ((l1, l2), p) in enumerate(zip(policy.thresholds, cfg.p_vector())):
-        coins[k, ages >= l1] = 1.0
-        if l2 < l1:
-            coins[k, (ages >= l2) & (ages < l1)] = rp_coin(
-                policy.theta_star, l1, l2, float(p), cfg.l)
-    return coins
-
-
 def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
     """The policy's slot on (rows, k*l) counts: draw(counts, rng) -> successes.
 
@@ -326,7 +294,7 @@ def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
                                for row in counts])
             return rng.binomial(served, p_cells)
     else:
-        q_cells = _rp_coins(cfg, policy).ravel() * p_cells
+        q_cells = rp_coins(policy.solution, cfg).ravel() * p_cells
 
         def draw(counts, rng):
             return rng.binomial(counts, q_cells)
@@ -362,13 +330,24 @@ def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
     """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
 
     Every row starts from _initial_counts(initial). Callers must not
-    modify a yielded array.
+    modify a yielded array. Counts are int64, so n must be below 2**63.
     """
+    if cfg.n >= 2 ** 63:
+        raise RangeError(f"n = {cfg.n} must be below 2**63 (int64 counts)")
     draw = _drawer(cfg, policy, rows)
     counts = np.tile(_initial_counts(initial, cfg), (rows, 1))
     while True:
         yield counts
         counts = _advance(counts, draw(counts, rng), cfg.l)
+
+
+def check_horizon(cfg: NetworkConfig, horizon: int) -> None:
+    """RangeError unless horizon >= 1 and horizon*n*l, the largest age
+    sum simulate accumulates per row in int64, is below 2**63."""
+    if horizon < 1:
+        raise RangeError(f"horizon must be >= 1, got {horizon}")
+    if (total := int(horizon) * cfg.n * cfg.l) >= 2 ** 63:
+        raise RangeError(f"horizon*n*l = {total} must be below 2**63 (int64 sums)")
 
 
 def _check_rows(replications: int) -> None:
@@ -388,9 +367,10 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
     initial state is the first sample); the trimmed variant discards the
     first WARMUP_FRACTION of the horizon. final_occupancy is the state
     after horizon slots. Identical arguments give bit-identical records.
+    Ages are summed in int64: check_horizon raises RangeError unless
+    horizon*n*l is below 2**63.
     """
-    if horizon < 1:
-        raise RangeError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(cfg, horizon)
     rows = 1 if replications is None else replications
     _check_rows(rows)
     n, k, l = cfg.n, cfg.k, cfg.l

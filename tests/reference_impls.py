@@ -54,7 +54,6 @@ from aoisched.sim import (
     WARMUP_FRACTION,
     _advance,
     _greedy_rank,
-    _rp_coins,
     _serve_in_order,
     _whittle_order,
     _whittle_rank,
@@ -521,9 +520,9 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
 
     Every user is tracked. whittle and greedy_max_age schedule the m
     users with the smallest (rank, user id) keys, uniform_random draws m
-    users without replacement, and rp_threshold flips one coin per user:
-    scheduled at or above its class's l1, with probability rp_coin on
-    [l2, l1), never below. The averages are taken as in sim.simulate.
+    users without replacement, and rp_threshold draws one uniform per
+    user against its cell's rp_cell_coins probability. The averages are
+    taken as in sim.simulate.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cls = class_ids(cfg)
@@ -535,12 +534,7 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
     elif policy.kind == "greedy_max_age":
         rank = _greedy_rank(cfg)
     elif policy.kind == "rp_threshold":
-        hi = np.array([pair[0] for pair in policy.thresholds])[cls]
-        lo = np.array([pair[1] for pair in policy.thresholds])[cls]
-        coin = np.array([
-            rp_coin(policy.theta_star, l1, l2, float(p), l) if l2 < l1 else 0.0
-            for (l1, l2), p in zip(policy.thresholds, cfg.p_vector())
-        ])[cls]
+        coin = rp_cell_coins(cfg, policy.solution)
     skip = int(horizon * WARMUP_FRACTION)
     total = total_tail = 0
     for t in range(horizon):
@@ -552,10 +546,27 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
         elif policy.kind == "uniform_random":
             sched = rng.choice(n, size=m, replace=False)
         else:
-            coins = rng.random(n)
-            sched = np.flatnonzero((ages >= hi) | ((ages >= lo) & (coins < coin)))
+            sched = np.flatnonzero(rng.random(n) < coin[cls, ages - 1])
         ages = step(ages, sched, p_user, l, rng)
     return total / (horizon * n), total_tail / ((horizon - skip) * n)
+
+
+def rp_cell_coins(cfg, sol) -> np.ndarray:
+    """rp_threshold's per-cell scheduling probability, shape (k, l).
+
+    Per-class (l1, l2) pairs: the critical class m keeps its thresholds
+    pair and flips an rp_coin on [l2, l1); every other class has the pair
+    (l_star[k], l_star[k]). Every class is scheduled surely from its l1.
+    """
+    ages = np.arange(1, cfg.l + 1)
+    cells = np.zeros((cfg.k, cfg.l))
+    for k, p in enumerate(cfg.p_vector()):
+        l1, l2 = sol.thresholds[k] if k == sol.m else (sol.l_star[k],) * 2
+        cells[k, ages >= l1] = 1.0
+        if l2 < l1:
+            cells[k, (ages >= l2) & (ages < l1)] = rp_coin(
+                sol.theta_star, l1, l2, float(p), cfg.l)
+    return cells
 
 
 def initial_ages(initial, cfg) -> np.ndarray:
@@ -613,7 +624,7 @@ def server(cfg, policy):
             return np.array([rng.multivariate_hypergeometric(row, m)
                              for row in counts])
     else:
-        coins = _rp_coins(cfg, policy).ravel()
+        coins = rp_cell_coins(cfg, policy.solution).ravel()
 
         def serve(counts, rng):
             return rng.binomial(counts, coins)

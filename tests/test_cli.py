@@ -604,3 +604,38 @@ def test_plot_rows_are_the_summary_points(tmp_path):
                for p in points if p["policy"] == "whittle")
     assert all(p["hitting_time_mean"] is None
                for p in points if p["policy"] == "greedy_max_age")
+
+
+def huge(n):
+    return {"n": n, "alpha": 0.5, "l": 5, "classes": [{"p": 0.5, "gamma": 1.0}]}
+
+
+def test_simulate_past_int64_age_sums_is_validation_error(tmp_path, capsys):
+    # 3 slots * 2**62 users * ages up to 5 wrapped the int64 age sums
+    # to an average age of 0.083, below the least possible age 1
+    cfg_path = write_config(tmp_path, huge(2 ** 62))
+    assert main(["simulate", "--config", cfg_path, "--horizon", "3",
+                 "--initial", "maxed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "RangeError" and "2**63" in err["message"]
+
+
+def test_experiment_past_int64_counts_writes_nothing(tmp_path, capsys):
+    # n = 1e19 does not fit an int64 count: rejected before --out exists
+    cfg_path = write_config(tmp_path, huge(10 ** 19))
+    out = tmp_path / "res"
+    assert main(["experiment", "--config", cfg_path, "--n-sweep", str(10 ** 19),
+                 "--horizon", "3", "--replications", "1",
+                 "--out", str(out)]) == 2
+    assert stderr_error(capsys)["error"] == "RangeError"
+    assert not out.exists()
+
+
+def test_hitting_time_past_int64_counts_is_validation_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, huge(10 ** 19))
+    assert main(["hitting-time", "--config", cfg_path, "--epsilon", "0.1",
+                 "--cap", "5"]) == 2
+    err = stderr_error(capsys)
+    assert err["error"] == "RangeError" and "2**63" in err["message"]

@@ -30,7 +30,12 @@ from aoisched.fluid import (
     spectral_radius,
     spectral_report,
 )
-from aoisched.index import TIE_TOL, whittle_index_table
+from aoisched.index import (
+    TIE_TOL,
+    optimal_thresholds,
+    tie_groups,
+    whittle_index_table,
+)
 from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
@@ -572,6 +577,26 @@ def test_cross_class_tie_at_w_star_is_certified():
     assert traj.distances[-1] < 1e-12
 
 
+def test_chained_class_quotient_is_squared():
+    # p = 1e-13: the five index values of the one class lie within
+    # TIE_TOL of their neighbours and chain into one tie group, so the
+    # critical class is fully served only from l+1. Its stored quotient's
+    # age-2 row is all -1, not strictly lower triangular, and the
+    # squaring route certifies rho = 0 with no check switched off
+    cfg = NetworkConfig(n=12, alpha=2 / 12, l=5,
+                        classes=(ClassSpec(p=1e-13, gamma=1.0),))
+    group, values = tie_groups(whittle_index_table(cfg.p_vector(), cfg.l))
+    assert group.tolist() == [[0] * 5]
+    sol = solve_rp(cfg)
+    assert (sol.m, sol.l_star, sol.w_star) == (0, (1,), values[0])
+    sysm = assemble_linear(cfg, sol)
+    assert sysm.full_from == (6,)
+    assert fluid._tail_quotient(sysm, 0, 4)[0].tolist() == [-1.0] * 4
+    assert not fluid._lower_quotient(sysm, 0, 4)
+    report = spectral_report(sysm)
+    assert report["rho"] == 0.0 and report["route_agreement"] == 0.0
+
+
 def test_chained_tie_is_one_group_for_solver_and_kernel(tmp_path, capsys):
     # the age-1 values chain within TIE_TOL but their ends do not, so
     # solve_rp must tie all three classes as the kernel does: a solver
@@ -595,6 +620,20 @@ def test_chained_tie_is_one_group_for_solver_and_kernel(tmp_path, capsys):
     assert main(["fluid", "--config", str(path), "--initial", "ones",
                  "--steps", "400"]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+def test_chained_tie_thresholds_are_tie_group_counts():
+    # thresholds count each class's cells in the groups below and at
+    # w_star's. Class 2's age-1 value lies 1.5e-12 above w_star, more
+    # than TIE_TOL, yet is chained into w_star's group, so solve_rp gives
+    # it (2, 1) where the single-class optimal_thresholds gives (1, 1)
+    cfg = chained_tie()
+    sol = solve_rp(cfg)
+    assert sol.thresholds == ((2, 1), (2, 1), (2, 1))
+    assert sol.l_star == (1, 2, 2)
+    p_2 = cfg.classes[2].p
+    assert whittle_index_table(np.array([p_2]), cfg.l)[0, 0] - sol.w_star > TIE_TOL
+    assert optimal_thresholds(sol.w_star, p_2, cfg.l) == (1, 1)
 
 
 def assert_region_is_kernel_cut(cfg):

@@ -12,7 +12,7 @@ from aoisched.cli import ExperimentSpec, run_experiment
 from aoisched.errors import RangeError, ShapeError
 from aoisched.index import whittle_index_table
 from aoisched.fluid import fluid_step
-from aoisched.relaxed import solve_rp
+from aoisched.relaxed import rp_coins, solve_rp
 from aoisched.sim import (
     OCCUPANCY_TOL,
     POLICY_NAMES,
@@ -24,7 +24,6 @@ from aoisched.sim import (
     _greedy_rank,
     _initial_counts,
     _paths,
-    _rp_coins,
     _serve_in_order,
     _whittle_order,
     _whittle_rank,
@@ -390,7 +389,16 @@ def test_policy_kind_validation():
     sol = solve_rp(mixed_ref())
     pol = rp_policy(sol)
     assert pol.kind == "rp_threshold"
-    assert pol.theta_star == sol.theta_star
+    assert pol.solution is sol
+
+
+@pytest.mark.parametrize("make", [mixed_ref, big_ref, tie_heavy, age_one_tie,
+                                  truncation_tie])
+def test_rp_coins_match_the_per_class_rule(make):
+    # the kernel's coins equal the per-user reference's, bit for bit
+    cfg = make()
+    sol = solve_rp(cfg)
+    np.testing.assert_array_equal(rp_coins(sol, cfg), ref.rp_cell_coins(cfg, sol))
 
 
 def test_hitting_time_zero_at_fixed_point():
@@ -526,6 +534,18 @@ def test_simulate_replication_count_validated():
     with pytest.raises(RangeError):
         simulate(cfg, whittle_policy(), 10, 0, np.ones(cfg.n, dtype=int),
                  replications=0)
+
+
+def test_int64_bound_on_age_sums():
+    # horizon*n*l = 2**62 fits the int64 age sums; 2**63 does not
+    cfg = one_class(0.5, 2, 0.5, 2 ** 61)
+    start = np.array([[0.5, 0.5]])
+    for pol in (whittle_policy(), greedy_policy(), rp_policy(solve_rp(cfg))):
+        rec = simulate(cfg, pol, 1, 0, start)
+        assert 1.0 <= rec.per_user_avg_age <= cfg.l
+        assert rec.final_occupancy.z.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(RangeError, match="2\\*\\*63"):
+        simulate(cfg, whittle_policy(), 2, 0, start)
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -667,7 +687,7 @@ def test_one_slot_successes_have_the_per_user_law(name, n):
         assert (won <= served).all()
         mean, var = served * p, served * p * (1 - p)
     elif name == "rp_threshold":
-        q = _rp_coins(cfg, pol).ravel() * p
+        q = rp_coins(pol.solution, cfg).ravel() * p
         assert ((q > 0) & (q < p)).any()
         mean, var = counts * q, counts * q * (1 - q)
     else:
