@@ -46,9 +46,9 @@ from .sim import (
     HITTING_CAP,
     POLICY_NAMES,
     PolicyKind,
+    _check_draw,
     check_horizon,
     hitting_times,
-    rp_policy,
     simulate,
 )
 
@@ -111,7 +111,7 @@ def _point_rows(cfg: NetworkConfig, sol, name: str, init, seed: int,
     epsilon is set, one hitting_times batch capped at cap slots; the
     hitting_time field is None on every other row.
     """
-    policy = rp_policy(sol) if name == "rp_threshold" else PolicyKind(kind=name)
+    policy = PolicyKind(name, sol if name == "rp_threshold" else None)
     sim_seed, hit_seed = _point_seeds(seed, cfg.n, name)
     records = simulate(cfg, policy, horizon, sim_seed, init,
                        replications=replications)
@@ -170,8 +170,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     _mean_stderr, for summary.json; plot.csv writes the same points
     sorted by (n, policy). Every input is checked, out included (an
     empty or missing out is a RangeError, never the working directory)
-    and every point by check_horizon, before the output directory is
-    created and the first simulation runs.
+    and every point by check_horizon and _check_draw, before the output
+    directory is created and the first simulation runs.
     """
     if not spec.out:
         raise RangeError("experiment requires --out, a directory for result files")
@@ -191,6 +191,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     configs = [_config_with_n(spec.base, n) for n in spec.n_sweep]
     for cfg in configs:
         check_horizon(cfg, spec.horizon)
+        for name in spec.policies:
+            _check_draw(cfg, name)
     out_dir = Path(spec.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

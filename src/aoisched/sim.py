@@ -5,8 +5,9 @@ users of one cell are exchangeable. So the simulator does not follow
 users: its state is the number of users in each cell, flattened
 class-major to k*l counts (cell k*l + age - 1). That count vector is a
 Markov chain with the law of the per-user system for every statistic
-reported here. R replications are the rows of one (R, k*l) integer
-array, and one slot kernel advances all of them.
+reported here. A start, explicit ages or an occupancy, enters only as
+its cell counts, by _initial_counts. R replications are the rows of one
+(R, k*l) integer array, and one slot kernel advances all of them.
 
 A served user who fails and an unserved user both age by one, so a slot
 needs only each cell's successes. Each policy draws them by its own
@@ -27,7 +28,8 @@ rule (see _drawer):
   by one of two exact draws: up to UNIFORM_PERMUTE_MAX_N users, a
   row-wise permutation of the batch's R*n cell ids, one per user, whose
   first m ids each draw one uniform against p; above it, one
-  multivariate_hypergeometric call per row, then Binomial(served, p_k).
+  multivariate_hypergeometric call per row, then Binomial(served, p_k);
+  that call needs n < 10**9.
 * rp_threshold schedules each user with its cell's coin and the channel
   succeeds with p, independently, so a cell's successes are one
   Binomial(count, coin * p_k), the coins being relaxed.rp_coins of the
@@ -87,23 +89,6 @@ class PolicyKind:
             raise RangeError("rp_threshold needs a relaxed solution")
 
 
-def whittle_policy() -> PolicyKind:
-    return PolicyKind(kind="whittle")
-
-
-def greedy_policy() -> PolicyKind:
-    return PolicyKind(kind="greedy_max_age")
-
-
-def uniform_policy() -> PolicyKind:
-    return PolicyKind(kind="uniform_random")
-
-
-def rp_policy(sol: RelaxedSolution) -> PolicyKind:
-    """Randomized threshold policy realizing the relaxed optimum."""
-    return PolicyKind(kind="rp_threshold", solution=sol)
-
-
 @dataclass(frozen=True, eq=False)
 class SimRecord:
     """One seeded simulation run."""
@@ -138,18 +123,12 @@ def _greedy_rank(cfg: NetworkConfig) -> np.ndarray:
             + np.arange(cfg.k)[:, None]).astype(np.int64)
 
 
-@lru_cache(maxsize=32)
-def _whittle_order(cfg: NetworkConfig) -> np.ndarray:
-    """Flat cells in ascending _whittle_rank, ascending age within a rank."""
-    order = np.argsort(_whittle_rank(cfg).ravel(), kind="stable")
-    order.setflags(write=False)
-    return order
-
-
-@lru_cache(maxsize=32)
-def _greedy_order(cfg: NetworkConfig) -> np.ndarray:
-    """Flat cells in ascending _greedy_rank."""
-    order = np.argsort(_greedy_rank(cfg).ravel(), kind="stable")
+@lru_cache(maxsize=64)
+def _order(cfg: NetworkConfig, kind: str) -> np.ndarray:
+    """Flat cells in ascending _whittle_rank (kind "whittle") or
+    _greedy_rank (kind "greedy_max_age"), ascending age within a rank."""
+    rank = _whittle_rank(cfg) if kind == "whittle" else _greedy_rank(cfg)
+    order = np.argsort(rank.ravel(), kind="stable")
     order.setflags(write=False)
     return order
 
@@ -177,42 +156,31 @@ def _serve_in_order(amounts: np.ndarray, budget, order: np.ndarray) -> np.ndarra
     return served
 
 
-def _initial_array(initial, cfg: NetworkConfig) -> np.ndarray:
-    """Explicit ages, checked and cast to int64, or a (k, l) occupancy.
+def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
+    """The k*l cell counts of explicit ages or of a (k, l) occupancy.
 
-    An occupancy's entries must be finite and nonnegative, and each
-    class's mass must be gamma_k to within OCCUPANCY_TOL.
+    Explicit ages are n integer values in 1..l. An occupancy's entries
+    must be finite and nonnegative, and each class's mass must be gamma_k
+    to within OCCUPANCY_TOL; it is rounded to the 1/n grid by
+    largest-remainder apportionment within each class.
     """
     if isinstance(initial, OccupancyVector):
         initial = initial.z
     arr = np.asarray(initial)
-    if arr.ndim != 1:
-        if arr.shape != (cfg.k, cfg.l):
-            raise ShapeError(f"occupancy shape {arr.shape} != {(cfg.k, cfg.l)}")
-        if not (np.isfinite(arr) & (arr >= 0)).all():
-            raise RangeError("occupancy entries must be finite and >= 0")
-        miss = np.abs(arr.sum(axis=1) - cfg.gamma_vector()).max()
-        if miss > OCCUPANCY_TOL:
-            raise ShapeError(f"occupancy class mass misses gamma by {miss:.3e}")
-        return arr
-    if arr.shape != (cfg.n,):
-        raise ShapeError(f"expected {cfg.n} ages, got {arr.shape}")
-    ages = arr.astype(np.int64)
-    if ages.min() < 1 or ages.max() > cfg.l:
-        raise RangeError(f"ages must lie in 1..{cfg.l}")
-    return ages
-
-
-def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
-    """The k*l cell counts of explicit ages or of an occupancy vector.
-
-    Occupancies are rounded to the 1/n grid by largest-remainder
-    apportionment within each class.
-    """
-    arr = _initial_array(initial, cfg)
     if arr.ndim == 1:
-        return np.bincount(class_ids(cfg) * cfg.l + arr - 1,
+        if arr.shape != (cfg.n,):
+            raise ShapeError(f"expected {cfg.n} ages, got {arr.shape}")
+        if not ((arr >= 1) & (arr <= cfg.l) & (arr == np.floor(arr))).all():
+            raise RangeError(f"ages must be integers in 1..{cfg.l}")
+        return np.bincount(class_ids(cfg) * cfg.l + arr.astype(np.int64) - 1,
                            minlength=cfg.k * cfg.l)
+    if arr.shape != (cfg.k, cfg.l):
+        raise ShapeError(f"occupancy shape {arr.shape} != {(cfg.k, cfg.l)}")
+    if not (np.isfinite(arr) & (arr >= 0)).all():
+        raise RangeError("occupancy entries must be finite and >= 0")
+    miss = np.abs(arr.sum(axis=1) - cfg.gamma_vector()).max()
+    if miss > OCCUPANCY_TOL:
+        raise ShapeError(f"occupancy class mass misses gamma by {miss:.3e}")
     target = arr * cfg.n
     counts = np.floor(target).astype(np.int64)
     for k, size in enumerate(cfg.class_sizes()):
@@ -224,20 +192,6 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
             top = np.argsort(-remainder, kind="stable")[:short]
             counts[k, top] += 1
     return counts.ravel()
-
-
-def make_initial_ages(initial, cfg: NetworkConfig) -> np.ndarray:
-    """Per-user ages from either explicit ages or an occupancy vector.
-
-    Explicit ages are checked and returned as int64. An occupancy is
-    rounded by _initial_counts, and users of a class get its ages in
-    increasing order.
-    """
-    arr = _initial_array(initial, cfg)
-    if arr.ndim == 1:
-        return arr
-    return np.repeat(np.tile(np.arange(1, cfg.l + 1), cfg.k),
-                     _initial_counts(arr, cfg))
 
 
 def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
@@ -266,8 +220,7 @@ def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
         return np.bincount(won, minlength=ids.size).reshape(rows, -1)
 
     if policy.kind in ("whittle", "greedy_max_age"):
-        order = (_whittle_order(cfg) if policy.kind == "whittle"
-                 else _greedy_order(cfg))
+        order = _order(cfg, policy.kind)
         # One uniform per served user costs O(R*m); Generator.binomial
         # costs about 6 us per call plus 8-10 ns per cell, served or not.
         # One success draw from Dirichlet-spread counts, R = 8 and
@@ -322,7 +275,7 @@ def _expected_slot(masses: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     alpha, p times the served masses are the expected successes, and
     _advance, linear in them, gives the expected next masses.
     """
-    served = _serve_in_order(masses, cfg.alpha, _whittle_order(cfg))
+    served = _serve_in_order(masses, cfg.alpha, _order(cfg, "whittle"))
     return _advance(masses, served * _p_cells(cfg), cfg.l)
 
 
@@ -330,15 +283,24 @@ def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
     """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
 
     Every row starts from _initial_counts(initial). Callers must not
-    modify a yielded array. Counts are int64, so n must be below 2**63.
+    modify a yielded array. _check_draw bounds n.
     """
-    if cfg.n >= 2 ** 63:
-        raise RangeError(f"n = {cfg.n} must be below 2**63 (int64 counts)")
+    _check_draw(cfg, policy.kind)
     draw = _drawer(cfg, policy, rows)
     counts = np.tile(_initial_counts(initial, cfg), (rows, 1))
     while True:
         yield counts
         counts = _advance(counts, draw(counts, rng), cfg.l)
+
+
+def _check_draw(cfg: NetworkConfig, kind: str) -> None:
+    """RangeError unless n fits the policy's draws: counts are int64, so
+    n < 2**63, and uniform_random's multivariate_hypergeometric (method
+    "marginals") needs n < 10**9."""
+    if cfg.n >= 2 ** 63:
+        raise RangeError(f"n = {cfg.n} must be below 2**63 (int64 counts)")
+    if kind == "uniform_random" and cfg.n >= 10 ** 9:
+        raise RangeError(f"uniform_random needs n below 10**9, got {cfg.n}")
 
 
 def check_horizon(cfg: NetworkConfig, horizon: int) -> None:
@@ -416,7 +378,7 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float,
     z_star = sol.z_star.z.ravel()
     hits: list[int | None] = [None] * replications
     waiting = np.ones(replications, dtype=bool)
-    for t, counts in enumerate(_paths(cfg, whittle_policy(), initial,
+    for t, counts in enumerate(_paths(cfg, PolicyKind("whittle"), initial,
                                       replications,
                                       np.random.default_rng(seed))):
         inside = np.linalg.norm(counts / cfg.n - z_star, axis=1) <= epsilon
@@ -425,13 +387,6 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float,
         waiting &= ~inside
         if t == cap or not waiting.any():
             return hits
-
-
-def hitting_time(cfg: NetworkConfig, initial, epsilon: float,
-                 seed: int | np.random.SeedSequence, cap: int = HITTING_CAP,
-                 sol: RelaxedSolution | None = None) -> int | None:
-    """hitting_times of a single replication: an int, or None past cap."""
-    return hitting_times(cfg, initial, epsilon, seed, 1, cap=cap, sol=sol)[0]
 
 
 def fluid_deviation(cfg: NetworkConfig, horizon: int,
@@ -447,7 +402,7 @@ def fluid_deviation(cfg: NetworkConfig, horizon: int,
     """
     worst = 0.0
     z_fluid = None
-    for t, counts in enumerate(_paths(cfg, whittle_policy(), initial, 1,
+    for t, counts in enumerate(_paths(cfg, PolicyKind("whittle"), initial, 1,
                                       np.random.default_rng(seed))):
         if t == horizon:
             return worst

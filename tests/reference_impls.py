@@ -55,10 +55,8 @@ from aoisched.sim import (
     _advance,
     _greedy_rank,
     _serve_in_order,
-    _whittle_order,
     _whittle_rank,
     class_ids,
-    make_initial_ages,
 )
 
 DAMPING = 0.5
@@ -527,7 +525,7 @@ def simulate(cfg, policy, horizon: int, seed: int, initial) -> tuple[float, floa
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cls = class_ids(cfg)
     p_user = cfg.p_vector()[cls]
-    ages = make_initial_ages(initial, cfg).copy()
+    ages = initial_ages(initial, cfg)
     n, m, l = cfg.n, cfg.m, cfg.l
     if policy.kind == "whittle":
         rank = _whittle_rank(cfg)
@@ -608,8 +606,8 @@ def server(cfg, policy):
     """
     m = cfg.m
     if policy.kind in ("whittle", "greedy_max_age"):
-        order = (_whittle_order(cfg) if policy.kind == "whittle"
-                 else np.argsort(_greedy_rank(cfg).ravel(), kind="stable"))
+        rank = _whittle_rank(cfg) if policy.kind == "whittle" else _greedy_rank(cfg)
+        order = np.argsort(rank.ravel(), kind="stable")
 
         def serve(counts, rng):
             return _serve_in_order(counts, m, order)

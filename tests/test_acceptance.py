@@ -11,6 +11,7 @@ import functools
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from aoisched import ClassSpec, NetworkConfig
 from aoisched.cli import ExperimentSpec, run_experiment
 from aoisched.errors import DegenerateThresholdError, FixedPointError
@@ -31,13 +32,7 @@ from aoisched.index import (
 )
 from aoisched.oracle import joint_mdp_optimal, rvi_one_dim, stationary_by_balance
 from aoisched.relaxed import solve_rp
-from aoisched.sim import (
-    fluid_deviation,
-    hitting_time,
-    make_initial_ages,
-    simulate,
-    whittle_policy,
-)
+from aoisched.sim import PolicyKind, fluid_deviation, hitting_times, simulate
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 L_GRID = (3, 10, 50)
@@ -238,7 +233,7 @@ def test_toy_optimality_sandwich():
     joint = joint_mdp_optimal(cfg)
     ones = np.ones(cfg.n, dtype=int)
     avgs = [rec.per_user_avg_age for rec in
-            simulate(cfg, whittle_policy(), 200_000, 0, ones, replications=10)]
+            simulate(cfg, PolicyKind("whittle"), 200_000, 0, ones, replications=10)]
     mean = float(np.mean(avgs))
     se = float(np.std(avgs, ddof=1) / np.sqrt(len(avgs)))
     assert sol.c_rp <= joint + 1e-9
@@ -257,7 +252,7 @@ def test_gap_shrinks_with_population():
         sol = solve_rp(cfg)
         ones = np.ones(cfg.n, dtype=int)
         gaps = [(rec.per_user_avg_age - sol.c_rp) / sol.c_rp for rec in
-                simulate(cfg, whittle_policy(), 200_000, 0, ones,
+                simulate(cfg, PolicyKind("whittle"), 200_000, 0, ones,
                          replications=10)]
         means.append(float(np.mean(gaps)))
         errs.append(float(np.std(gaps, ddof=1) / np.sqrt(len(gaps))))
@@ -283,7 +278,7 @@ def test_hitting_time_bounded():
             sol = solve_rp(cfg)
             fill = 1 if name == "ones" else cfg.l
             init = np.full(cfg.n, fill, dtype=int)
-            times = [hitting_time(cfg, init, epsilon, seed, sol=sol)
+            times = [hitting_times(cfg, init, epsilon, seed, 1, sol=sol)[0]
                      for seed in range(30)]
             assert all(t is not None for t in times), f"{name} N={n} unresolved"
             per_n.append(float(np.mean(times)))
@@ -308,7 +303,7 @@ def test_mean_field_deviation_shrinks():
     for n in (100, 1000):
         cfg = reference_config(n)
         sol = solve_rp(cfg)
-        init = make_initial_ages(sol.z_star.z, cfg)
+        init = ref.initial_ages(sol.z_star.z, cfg)
         devs = [fluid_deviation(cfg, 100, seed, init, sol=sol)
                 for seed in range(30)]
         medians[n] = float(np.median(devs))

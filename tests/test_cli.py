@@ -639,3 +639,29 @@ def test_hitting_time_past_int64_counts_is_validation_error(tmp_path, capsys):
                  "--cap", "5"]) == 2
     err = stderr_error(capsys)
     assert err["error"] == "RangeError" and "2**63" in err["message"]
+
+
+def test_simulate_uniform_past_hypergeometric_bound_is_validation_error(
+        tmp_path, capsys):
+    # multivariate_hypergeometric needs n < 10**9; past it uniform_random
+    # exited 1 with a ValueError traceback
+    cfg_path = write_config(tmp_path, huge(2 * 10 ** 9))
+    assert main(["simulate", "--config", cfg_path, "--policies",
+                 "uniform_random", "--horizon", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "RangeError" and "10**9" in err["message"]
+
+
+def test_experiment_uniform_past_hypergeometric_bound_writes_nothing(
+        tmp_path, capsys):
+    cfg_path = write_config(tmp_path, huge(2 * 10 ** 9))
+    out = tmp_path / "res"
+    assert main(["experiment", "--config", cfg_path, "--n-sweep",
+                 str(2 * 10 ** 9), "--policies", "whittle,uniform_random",
+                 "--horizon", "3", "--replications", "1",
+                 "--out", str(out)]) == 2
+    err = stderr_error(capsys)
+    assert err["error"] == "RangeError" and "10**9" in err["message"]
+    assert not out.exists()

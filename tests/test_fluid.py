@@ -39,12 +39,12 @@ from aoisched.index import (
 from aoisched.model import OccupancyVector
 from aoisched.relaxed import solve_rp
 from aoisched.sim import (
+    PolicyKind,
+    _order,
     _paths,
-    _whittle_order,
     _whittle_rank,
     fluid_deviation,
     simulate,
-    whittle_policy,
 )
 from test_relaxed import criterion5_config
 
@@ -503,7 +503,7 @@ def test_fluid_deviation_matches_fluid_step_loop(n, seed):
     # a fluid_step loop from its first state
     cfg = dataclasses.replace(two_class_ref(), n=n)
     sol = solve_rp(cfg)
-    paths = _paths(cfg, whittle_policy(), sol.z_star, 1,
+    paths = _paths(cfg, PolicyKind("whittle"), sol.z_star, 1,
                    np.random.default_rng(seed))
     trace = [counts[0].reshape(cfg.k, cfg.l) / cfg.n
              for counts in itertools.islice(paths, 200)]
@@ -638,10 +638,10 @@ def test_chained_tie_thresholds_are_tie_group_counts():
 
 def assert_region_is_kernel_cut(cfg):
     """_region_cells' full mask is the cells before class m's first tied
-    cell in _whittle_order, and its partial mask that cell's rank."""
+    cell in the whittle _order, and its partial mask that cell's rank."""
     sol = solve_rp(cfg)
     above, at = fluid._region_cells(cfg, sol.w_star, sol.m)
-    order = _whittle_order(cfg)
+    order = _order(cfg, "whittle")
     first = np.flatnonzero(at[order])[0]
     assert np.array_equal(np.flatnonzero(above), np.sort(order[:first]))
     rank = _whittle_rank(cfg).ravel()
@@ -666,7 +666,7 @@ def test_kernel_at_large_n_ends_near_cross_class_tie_z_star():
     # ends 0.12 from z_star after 400 steps from the same start
     cfg = dataclasses.replace(cross_class_tie(), n=10 ** 6)
     sol = solve_rp(cfg)
-    rec = simulate(cfg, whittle_policy(), 400, 0, np.ones(cfg.n, dtype=int))
+    rec = simulate(cfg, PolicyKind("whittle"), 400, 0, np.ones(cfg.n, dtype=int))
     assert np.linalg.norm(rec.final_occupancy.z - sol.z_star.z) < 0.005
 
 

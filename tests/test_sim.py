@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,23 +22,16 @@ from aoisched.sim import (
     PolicyKind,
     _advance,
     _drawer,
-    _greedy_order,
     _greedy_rank,
     _initial_counts,
+    _order,
     _paths,
     _serve_in_order,
-    _whittle_order,
     _whittle_rank,
     class_ids,
     fluid_deviation,
-    greedy_policy,
-    hitting_time,
     hitting_times,
-    make_initial_ages,
-    rp_policy,
     simulate,
-    uniform_policy,
-    whittle_policy,
 )
 from reference_impls import step, top_m, whittle_schedule
 
@@ -88,9 +83,7 @@ def truncation_tie():
 
 
 def policy_named(name, cfg):
-    if name == "rp_threshold":
-        return rp_policy(solve_rp(cfg))
-    return PolicyKind(kind=name)
+    return PolicyKind(name, solve_rp(cfg) if name == "rp_threshold" else None)
 
 
 def cell_counts(ages, cfg):
@@ -117,7 +110,7 @@ def test_step_cap_without_scheduling():
 def test_forced_failures_reach_all_stale():
     cfg = mixed_ref()
     rng = np.random.default_rng(1)
-    ages = make_initial_ages(np.ones(cfg.n, dtype=int), cfg)
+    ages = np.ones(cfg.n, dtype=np.int64)
     never = np.zeros(cfg.n, dtype=bool)
     for _ in range(cfg.l - 1):
         sel = whittle_schedule(ages, cfg)
@@ -239,8 +232,8 @@ def test_greedy_matches_whittle_single_class():
     # one class far from the truncation tie: both rules serve oldest-first
     cfg = one_class(0.6, 40, 1.0 / 3.0, 6)
     ones = np.ones(cfg.n, dtype=int)
-    a = simulate(cfg, whittle_policy(), 300, 11, ones)
-    b = simulate(cfg, greedy_policy(), 300, 11, ones)
+    a = simulate(cfg, PolicyKind("whittle"), 300, 11, ones)
+    b = simulate(cfg, PolicyKind("greedy_max_age"), 300, 11, ones)
     assert a.per_user_avg_age == b.per_user_avg_age
     np.testing.assert_array_equal(a.final_occupancy.z, b.final_occupancy.z)
 
@@ -248,27 +241,28 @@ def test_greedy_matches_whittle_single_class():
 def test_alternation_is_exact():
     # two users, one sure slot per step: ages alternate between 1 and 2
     cfg = one_class(1.0, 3, 0.5, 2)
-    rec = simulate(cfg, whittle_policy(), 10_000, 5, np.array([1, 2]))
+    rec = simulate(cfg, PolicyKind("whittle"), 10_000, 5, np.array([1, 2]))
     assert rec.per_user_avg_age == pytest.approx(1.5, abs=1e-12)
     assert rec.per_user_avg_age_trimmed == pytest.approx(1.5, abs=1e-12)
 
 
 def test_horizon_one_reads_initial_state():
     cfg = mixed_ref()
-    rec = simulate(cfg, whittle_policy(), 1, 0, np.ones(cfg.n, dtype=int))
+    rec = simulate(cfg, PolicyKind("whittle"), 1, 0, np.ones(cfg.n, dtype=int))
     assert rec.per_user_avg_age == 1.0
 
 
 def test_reproducible_and_seed_sensitive():
     cfg = mixed_ref()
     ones = np.ones(cfg.n, dtype=int)
-    for pol in (whittle_policy(), uniform_policy(), rp_policy(solve_rp(cfg))):
+    for pol in (PolicyKind("whittle"), PolicyKind("uniform_random"),
+                PolicyKind("rp_threshold", solve_rp(cfg))):
         a = simulate(cfg, pol, 400, 42, ones)
         b = simulate(cfg, pol, 400, 42, ones)
         assert a.per_user_avg_age == b.per_user_avg_age
         np.testing.assert_array_equal(a.final_occupancy.z, b.final_occupancy.z)
-    x = simulate(cfg, whittle_policy(), 400, 42, ones)
-    y = simulate(cfg, whittle_policy(), 400, 43, ones)
+    x = simulate(cfg, PolicyKind("whittle"), 400, 42, ones)
+    y = simulate(cfg, PolicyKind("whittle"), 400, 43, ones)
     assert x.per_user_avg_age != y.per_user_avg_age
 
 
@@ -277,8 +271,8 @@ def test_trace_reconstructs_estimators():
     cfg = mixed_ref()
     horizon = 50
     ones = np.ones(cfg.n, dtype=int)
-    rec = simulate(cfg, whittle_policy(), horizon, 9, ones)
-    paths = _paths(cfg, whittle_policy(), ones, 1, np.random.default_rng(9))
+    rec = simulate(cfg, PolicyKind("whittle"), horizon, 9, ones)
+    paths = _paths(cfg, PolicyKind("whittle"), ones, 1, np.random.default_rng(9))
     trace = np.array([counts[0].reshape(cfg.k, cfg.l) / cfg.n
                       for counts in itertools.islice(paths, horizon)])
     np.testing.assert_allclose(trace.sum(axis=(1, 2)), 1.0, atol=1e-12)
@@ -293,8 +287,8 @@ def test_trace_reconstructs_estimators():
 def test_uniform_random_is_worse():
     cfg = mixed_ref()
     ones = np.ones(cfg.n, dtype=int)
-    w = simulate(cfg, whittle_policy(), 4000, 3, ones)
-    u = simulate(cfg, uniform_policy(), 4000, 3, ones)
+    w = simulate(cfg, PolicyKind("whittle"), 4000, 3, ones)
+    u = simulate(cfg, PolicyKind("uniform_random"), 4000, 3, ones)
     assert u.per_user_avg_age_trimmed > w.per_user_avg_age_trimmed + 0.5
 
 
@@ -303,7 +297,8 @@ def test_rp_policy_tracks_relaxed_cost():
     # time average approaches the relaxed optimum
     cfg = big_ref()
     sol = solve_rp(cfg)
-    rec = simulate(cfg, rp_policy(sol), 4000, 21, np.ones(cfg.n, dtype=int))
+    rec = simulate(cfg, PolicyKind("rp_threshold", sol), 4000, 21,
+                   np.ones(cfg.n, dtype=int))
     assert rec.per_user_avg_age_trimmed == pytest.approx(sol.c_rp, rel=0.05)
 
 
@@ -313,25 +308,36 @@ def test_initial_occupancy_rounding():
         classes=(ClassSpec(p=0.5, gamma=0.5), ClassSpec(p=0.8, gamma=0.5)),
     )
     occ = np.array([[0.26, 0.24, 0.0, 0.0], [0.0, 0.1, 0.1, 0.3]])
-    ages = make_initial_ages(occ, cfg)
-    assert ages.tolist() == [1, 1, 1, 2, 2, 2, 3, 4, 4, 4]
+    np.testing.assert_array_equal(
+        _initial_counts(occ, cfg), cell_counts([1, 1, 1, 2, 2, 2, 3, 4, 4, 4], cfg))
 
 
 def test_initial_ages_validation():
     cfg = mixed_ref()
     good = np.ones(cfg.n, dtype=int)
-    np.testing.assert_array_equal(make_initial_ages(good, cfg), good)
+    np.testing.assert_array_equal(_initial_counts(good, cfg), cell_counts(good, cfg))
     bad = good.copy()
     bad[0] = 0
     with pytest.raises(RangeError):
-        make_initial_ages(bad, cfg)
+        _initial_counts(bad, cfg)
     bad[0] = cfg.l + 1
     with pytest.raises(RangeError):
-        make_initial_ages(bad, cfg)
+        _initial_counts(bad, cfg)
     with pytest.raises(ShapeError):
-        make_initial_ages(np.ones(cfg.n - 1, dtype=int), cfg)
+        _initial_counts(np.ones(cfg.n - 1, dtype=int), cfg)
     with pytest.raises(ShapeError):
         whittle_schedule(np.ones(3, dtype=int), cfg)
+
+
+def test_non_integral_ages_rejected():
+    # 1.5 and 2.9 were truncated to 1 and 2; integral floats still run
+    cfg = one_class(0.5, 3, 0.5, 4)
+    with pytest.raises(RangeError):
+        simulate(cfg, PolicyKind("whittle"), 10, 0, np.array([1.5, 2.9, 1.0, 3.0]))
+    as_float = simulate(cfg, PolicyKind("whittle"), 10, 0,
+                        np.array([1.0, 2.0, 1.0, 3.0]))
+    as_int = simulate(cfg, PolicyKind("whittle"), 10, 0, np.array([1, 2, 1, 3]))
+    assert as_float.per_user_avg_age == as_int.per_user_avg_age
 
 
 def one_class_400():
@@ -351,20 +357,20 @@ def one_class_400():
 def test_invalid_occupancy_rejected(z, error):
     cfg = one_class_400()
     with pytest.raises(error):
-        make_initial_ages(np.array([z]), cfg)
+        _initial_counts(np.array([z]), cfg)
     with pytest.raises(error):
-        simulate(cfg, whittle_policy(), 10, 0, np.array([z]))
+        simulate(cfg, PolicyKind("whittle"), 10, 0, np.array([z]))
 
 
 def test_occupancy_within_tolerance_accepted():
     cfg = one_class_400()
     z = np.array([[0.5, 0.5 - 0.5 * OCCUPANCY_TOL, 0.0]])
-    assert np.bincount(make_initial_ages(z, cfg)).tolist() == [0, 200, 200]
+    assert _initial_counts(z, cfg).tolist() == [200, 200, 0]
 
 
 def test_initial_counts_are_the_binned_initial_ages():
-    # the kernel starts from _initial_counts; make_initial_ages keeps the
-    # per-class loop's output for star, ones, maxed, a fractional
+    # the kernel starts from _initial_counts: the reference's per-class
+    # loop, binned to cells, for star, ones, maxed, a fractional
     # occupancy and explicit ages
     rng = np.random.default_rng(6)
     for cfg in (mixed_ref(), big_ref(), tie_heavy(), truncation_tie()):
@@ -375,19 +381,18 @@ def test_initial_counts_are_the_binned_initial_ages():
         spread = cfg.gamma_vector()[:, None] * rng.dirichlet(np.ones(cfg.l), cfg.k)
         explicit = rng.integers(1, cfg.l + 1, size=cfg.n)
         for initial in (solve_rp(cfg).z_star, ones, maxed, spread, explicit):
-            ages = make_initial_ages(initial, cfg)
-            np.testing.assert_array_equal(ages, ref.initial_ages(initial, cfg))
-            assert ages.dtype == np.int64
             counts = _initial_counts(initial, cfg)
             assert counts.shape == (cfg.k * cfg.l,)
-            np.testing.assert_array_equal(counts, cell_counts(ages, cfg))
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(
+                counts, cell_counts(ref.initial_ages(initial, cfg), cfg))
 
 
 def test_policy_kind_validation():
     with pytest.raises(RangeError):
         PolicyKind(kind="bogus")
     sol = solve_rp(mixed_ref())
-    pol = rp_policy(sol)
+    pol = PolicyKind("rp_threshold", sol)
     assert pol.kind == "rp_threshold"
     assert pol.solution is sol
 
@@ -404,20 +409,20 @@ def test_rp_coins_match_the_per_class_rule(make):
 def test_hitting_time_zero_at_fixed_point():
     cfg = big_ref()
     sol = solve_rp(cfg)
-    assert hitting_time(cfg, sol.z_star.z, 0.5, 1, sol=sol) == 0
+    assert hitting_times(cfg, sol.z_star.z, 0.5, 1, 1, sol=sol)[0] == 0
 
 
 def test_hitting_time_unresolved_returns_none():
     cfg = big_ref()
     sol = solve_rp(cfg)
-    assert hitting_time(cfg, np.ones(cfg.n, dtype=int), 1e-9, 1,
-                        cap=50, sol=sol) is None
+    assert hitting_times(cfg, np.ones(cfg.n, dtype=int), 1e-9, 1, 1,
+                         cap=50, sol=sol)[0] is None
 
 
 def test_hitting_time_epsilon_validation():
     cfg = big_ref()
     with pytest.raises(RangeError):
-        hitting_time(cfg, np.ones(cfg.n, dtype=int), 0.0, 1)
+        hitting_times(cfg, np.ones(cfg.n, dtype=int), 0.0, 1, 1)
 
 
 def test_fluid_deviation_shared_start():
@@ -437,7 +442,7 @@ def test_kernel_serves_the_per_user_selection(kind):
     # lands at l, so the split does not change the law.
     for cfg in (tie_heavy(), age_one_tie(), mixed_ref()):
         rank = (_whittle_rank(cfg) if kind == "whittle" else _greedy_rank(cfg)).ravel()
-        order = _whittle_order(cfg) if kind == "whittle" else _greedy_order(cfg)
+        order = _order(cfg, kind)
         cls = class_ids(cfg)
         p_user = cfg.p_vector()[cls]
         rng = np.random.default_rng(12)
@@ -492,7 +497,7 @@ def test_kernel_one_slot_expectation_is_fluid_step():
             classes=tuple(ClassSpec(p=float(p), gamma=1.0 / k) for p in ps))
         counts = np.concatenate([rng.multinomial(size, rng.dirichlet(np.ones(l)))
                                  for _ in range(k)])
-        served = _serve_in_order(counts[None], cfg.m, _whittle_order(cfg))[0]
+        served = _serve_in_order(counts[None], cfg.m, _order(cfg, "whittle"))[0]
         group = _whittle_rank(cfg).ravel() // k
         mass = np.bincount(group, weights=counts)
         done = np.bincount(group, weights=served)
@@ -524,15 +529,13 @@ def test_batch_rows_rerun_identical_and_distinct():
     sol = solve_rp(cfg)
     hits = hitting_times(cfg, ones, 0.3, 5, 6, cap=500, sol=sol)
     assert hits == hitting_times(cfg, ones, 0.3, 5, 6, cap=500, sol=sol)
-    assert hitting_time(cfg, ones, 0.3, 5, cap=500, sol=sol) == hitting_times(
-        cfg, ones, 0.3, 5, 1, cap=500, sol=sol)[0]
     assert fluid_deviation(cfg, 100, 5, ones) == fluid_deviation(cfg, 100, 5, ones)
 
 
 def test_simulate_replication_count_validated():
     cfg = mixed_ref()
     with pytest.raises(RangeError):
-        simulate(cfg, whittle_policy(), 10, 0, np.ones(cfg.n, dtype=int),
+        simulate(cfg, PolicyKind("whittle"), 10, 0, np.ones(cfg.n, dtype=int),
                  replications=0)
 
 
@@ -540,12 +543,13 @@ def test_int64_bound_on_age_sums():
     # horizon*n*l = 2**62 fits the int64 age sums; 2**63 does not
     cfg = one_class(0.5, 2, 0.5, 2 ** 61)
     start = np.array([[0.5, 0.5]])
-    for pol in (whittle_policy(), greedy_policy(), rp_policy(solve_rp(cfg))):
+    for pol in (PolicyKind("whittle"), PolicyKind("greedy_max_age"),
+                PolicyKind("rp_threshold", solve_rp(cfg))):
         rec = simulate(cfg, pol, 1, 0, start)
         assert 1.0 <= rec.per_user_avg_age <= cfg.l
         assert rec.final_occupancy.z.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(RangeError, match="2\\*\\*63"):
-        simulate(cfg, whittle_policy(), 2, 0, start)
+        simulate(cfg, PolicyKind("whittle"), 2, 0, start)
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -585,7 +589,8 @@ def test_uniform_serve_is_multivariate_hypergeometric(n):
     counts = np.concatenate([rng.multinomial(n // 2, rng.dirichlet(np.ones(cfg.l)))
                              for _ in range(cfg.k)])
     rows = 4000
-    served = ref.server(cfg, uniform_policy())(np.tile(counts, (rows, 1)), rng)
+    serve = ref.server(cfg, PolicyKind("uniform_random"))
+    served = serve(np.tile(counts, (rows, 1)), rng)
     assert served.shape == (rows, cfg.k * cfg.l)
     assert (served.sum(axis=1) == cfg.m).all()
     assert ((served >= 0) & (served <= counts)).all()
@@ -682,7 +687,7 @@ def test_one_slot_successes_have_the_per_user_law(name, n):
     p = np.repeat(cfg.p_vector(), cfg.l)
     if name in ("whittle", "greedy_max_age"):
         assert cfg.m <= cfg.k * cfg.l
-        order = _whittle_order(cfg) if name == "whittle" else _greedy_order(cfg)
+        order = _order(cfg, name)
         served = _serve_in_order(counts[None], cfg.m, order)[0]
         assert (won <= served).all()
         mean, var = served * p, served * p * (1 - p)
@@ -715,7 +720,16 @@ def test_rp_threshold_mean_age_is_c_rp(n):
             ClassSpec(p=p, gamma=0.5) for p in ps))
         sol = solve_rp(cfg)
         trimmed = [rec.per_user_avg_age_trimmed for rec in
-                   simulate(cfg, rp_policy(sol), 1000, 2, sol.z_star.z,
+                   simulate(cfg, PolicyKind("rp_threshold", sol), 1000, 2, sol.z_star.z,
                             replications=reps)]
         se = np.std(trimmed, ddof=1) / np.sqrt(reps)
         assert abs(np.mean(trimmed) - sol.c_rp) <= 3 * se, (ps, n)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the README's example as written, so it cannot keep a removed name
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
