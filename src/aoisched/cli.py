@@ -11,12 +11,13 @@ Experiment sweeps write three files into --out: rows.csv with one row
 per (n, policy, replication), summary.json with per-point means and
 standard errors, and plot.csv with the same per-point statistics, one
 line per point sorted by (n, policy). Each (n, policy) point runs its
-replications as one batch of the simulator's count kernel, seeded from
-the master seed and the point by one rule, _point_seeds; _point_rows
-builds a point's rows for both experiment and simulate, and
-hitting-time takes its seed from the same rule. Rows are written in a
-fixed nested order and floats use repr round-trip formatting, so reruns
-with the same master seed produce byte-identical bodies.
+replications as one block of the simulator's count kernel, seeded from
+the master seed and the point by one rule, _point_seeds; an experiment
+stacks a policy's blocks over the whole n sweep into one batch.
+_point_rows builds a point's rows for both experiment and simulate,
+and hitting-time takes its seed from the same rule. Rows are written in
+a fixed nested order and floats use repr round-trip formatting, so
+reruns with the same master seed produce byte-identical bodies.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .sim import (
     POLICY_NAMES,
     PolicyKind,
     _check_draw,
+    _simulate_blocks,
     check_horizon,
     hitting_times,
     simulate,
@@ -102,29 +104,22 @@ def _point_seeds(seed: int, n: int, name: str) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence([seed, n, POLICY_NAMES.index(name)]).spawn(2)
 
 
-def _point_rows(cfg: NetworkConfig, sol, name: str, init, seed: int,
-                horizon: int, replications: int, epsilon: float | None,
-                cap: int) -> list[tuple]:
-    """CSV rows of one (n, policy) point, replication index ascending.
-
-    The replications run as one simulate batch and, for whittle when
-    epsilon is set, one hitting_times batch capped at cap slots; the
-    hitting_time field is None on every other row.
-    """
+def _point_block(cfg: NetworkConfig, sol, name: str, init, seed: int) -> tuple:
+    """The simulator block of the (n, policy) point: its config, policy,
+    start and a generator on the first _point_seeds child."""
     policy = PolicyKind(name, sol if name == "rp_threshold" else None)
-    sim_seed, hit_seed = _point_seeds(seed, cfg.n, name)
-    records = simulate(cfg, policy, horizon, sim_seed, init,
-                       replications=replications)
-    hits = [None] * replications
-    if epsilon is not None and name == "whittle":
-        hits = hitting_times(cfg, init, epsilon, hit_seed, replications,
-                             cap=cap, sol=sol)
-    rows = []
-    for r, (rec, hit) in enumerate(zip(records, hits)):
-        age = rec.per_user_avg_age
-        rows.append((r, cfg.n, name, horizon, age, sol.c_rp,
-                     (age - sol.c_rp) / sol.c_rp, hit))
-    return rows
+    rng = np.random.default_rng(_point_seeds(seed, cfg.n, name)[0])
+    return cfg, policy, init, rng
+
+
+def _point_rows(cfg: NetworkConfig, sol, name: str, horizon: int, ages,
+                hits) -> list[tuple]:
+    """CSV rows of one (n, policy) point from its replications' average
+    ages and hitting times (None where not measured), replication
+    ascending."""
+    return [(r, cfg.n, name, horizon, age, sol.c_rp,
+             (age - sol.c_rp) / sol.c_rp, hit)
+            for r, (age, hit) in enumerate(zip(ages, hits))]
 
 
 def _fmt(value) -> str:
@@ -163,15 +158,19 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     Row order is deterministic: n in sweep order, then policies in the
     given order, then replication index; each point's rows come from
-    _point_rows under the _point_seeds rule. A point's rows therefore do
-    not depend on the other points of the sweep, but row r depends on
-    the replication count, because all rows of a batch share one
-    generator. Each point's means and stderrs are computed once, by
-    _mean_stderr, for summary.json; plot.csv writes the same points
-    sorted by (n, policy). Every input is checked, out included (an
-    empty or missing out is a RangeError, never the working directory)
-    and every point by check_horizon and _check_draw, before the output
-    directory is created and the first simulation runs.
+    _point_rows. Each policy runs once, as one _simulate_blocks batch
+    that stacks a block per n, so the kernel holds |n_sweep|*R*k*l
+    counts at once; for whittle when epsilon is set, each point adds one
+    hitting_times batch capped at cap slots. Every block draws from its
+    own _point_seeds generator, so a point's rows do not depend on the
+    other points of the sweep, but row r depends on the replication
+    count, because all rows of a block share one generator. Each point's
+    means and stderrs are computed once, by _mean_stderr, for
+    summary.json; plot.csv writes the same points sorted by (n, policy).
+    Every input is checked, out included (an empty or missing out is a
+    RangeError, never the working directory) and every point by
+    check_horizon and _check_draw, before the output directory is
+    created and the first simulation runs.
     """
     if not spec.out:
         raise RangeError("experiment requires --out, a directory for result files")
@@ -199,17 +198,29 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     except OSError as err:
         raise RangeError(f"cannot create output directory {out_dir}: {err}") from err
 
+    sols = [solve_rp(cfg) for cfg in configs]
+    inits = [_initial_occupancy(spec.initial, cfg, sol)
+             for cfg, sol in zip(configs, sols)]
+    ages = {}
+    for name in spec.policies:
+        blocks = [_point_block(cfg, sol, name, init, spec.seed)
+                  for cfg, sol, init in zip(configs, sols, inits)]
+        batch = _simulate_blocks(blocks, spec.horizon, spec.replications)
+        for cfg, records in zip(configs, batch):
+            ages[cfg.n, name] = [rec.per_user_avg_age for rec in records]
     rows = []
     points = []
-    for cfg in configs:
-        sol = solve_rp(cfg)
-        init = _initial_occupancy(spec.initial, cfg, sol)
+    for cfg, sol, init in zip(configs, sols, inits):
         for name in spec.policies:
-            point = _point_rows(cfg, sol, name, init, spec.seed, spec.horizon,
-                                spec.replications, spec.epsilon, spec.cap)
-            rows += point
             want_hit = spec.epsilon is not None and name == "whittle"
-            hits = [row[7] for row in point]
+            hits = [None] * spec.replications
+            if want_hit:
+                hits = hitting_times(cfg, init, spec.epsilon,
+                                     _point_seeds(spec.seed, cfg.n, name)[1],
+                                     spec.replications, cap=spec.cap, sol=sol)
+            point = _point_rows(cfg, sol, name, spec.horizon,
+                                ages[cfg.n, name], hits)
+            rows += point
             age_mean, age_se = _mean_stderr([row[4] for row in point])
             gap_mean, gap_se = _mean_stderr([row[6] for row in point])
             hit_mean, hit_se = _mean_stderr(hits)
@@ -307,8 +318,12 @@ def _cmd_simulate(args) -> int:
     init = _initial_occupancy(args.initial, cfg, sol)
     rows = []
     for name in names:
-        rows += _point_rows(cfg, sol, name, init, args.seed, args.horizon,
-                            args.replications, None, HITTING_CAP)
+        _, policy, _, rng = _point_block(cfg, sol, name, init, args.seed)
+        records = simulate(cfg, policy, args.horizon, rng, init,
+                           replications=args.replications)
+        rows += _point_rows(cfg, sol, name, args.horizon,
+                            [rec.per_user_avg_age for rec in records],
+                            [None] * args.replications)
     _write_rows(rows, args.out)
     return 0
 

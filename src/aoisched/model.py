@@ -92,7 +92,7 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
 
     Raises RangeError for out-of-domain scalars, FractionError when the
     gamma_k do not sum to 1, IntegralityError when alpha*n or gamma_k*n
-    is not an integer.
+    is not an integer or the class sizes do not sum to n.
     """
     if not isinstance(cfg.n, int) or isinstance(cfg.n, bool) or cfg.n < 1:
         raise RangeError(f"n must be a positive integer, got {cfg.n!r}")
@@ -121,6 +121,12 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
             raise IntegralityError(
                 f"class {idx}: gamma*n = {size!r} is not an integer"
             )
+    if sum(cfg.class_sizes()) != cfg.n:
+        # gamma_k*n passes the check above in float, where n > 2**53 has
+        # no exact form; the integer sizes must still add up to n.
+        raise IntegralityError(
+            f"class sizes {cfg.class_sizes()} do not sum to n={cfg.n}"
+        )
     m = int(round(budget))
     if not 0 < m < cfg.n:
         raise RangeError(f"slot budget m={m} must satisfy 0 < m < n={cfg.n}")

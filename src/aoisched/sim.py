@@ -6,8 +6,13 @@ users: its state is the number of users in each cell, flattened
 class-major to k*l counts (cell k*l + age - 1). That count vector is a
 Markov chain with the law of the per-user system for every statistic
 reported here. A start, explicit ages or an occupancy, enters only as
-its cell counts, by _initial_counts. R replications are the rows of one
-(R, k*l) integer array, and one slot kernel advances all of them.
+its cell counts, by _initial_counts. R replications of one config are
+a block of R rows, and one slot kernel, _paths, advances a stack of
+blocks as one (blocks*R, k*l) integer array: simulate, hitting_times
+and fluid_deviation pass one block, and cli.run_experiment passes
+_simulate_blocks one block per n of a sweep, once per policy. Stacked
+blocks share the policy kind, k, l and p; each keeps its own n, m,
+draw rule and Generator, so its rows do not depend on the other blocks.
 
 A served user who fails and an unserved user both age by one, so a slot
 needs only each cell's successes. Each policy draws them by its own
@@ -26,7 +31,7 @@ rule (see _drawer):
   Binomial(served, p_k).
 * uniform_random serves a multivariate hypergeometric sample of m users
   by one of two exact draws: up to UNIFORM_PERMUTE_MAX_N users, a
-  row-wise permutation of the batch's R*n cell ids, one per user, whose
+  row-wise permutation of the block's R*n cell ids, one per user, whose
   first m ids each draw one uniform against p; above it, one
   multivariate_hypergeometric call per row, then Binomial(served, p_k);
   that call needs n < 10**9.
@@ -36,10 +41,11 @@ rule (see _drawer):
   policy's relaxed solution.
 
 Successful users reset to age 1 and every other user ages by one,
-truncated at l. All rows of a batch draw from one Generator, so row r
+truncated at l. All rows of a block draw from one Generator, so row r
 depends on the number of rows as well as on the seed. Every entry point
 takes that seed as an int or a numpy SeedSequence and hands it to
-np.random.default_rng, which gives an int the stream of SeedSequence(int).
+np.random.default_rng, which gives an int the stream of SeedSequence(int)
+and passes a Generator through unchanged.
 """
 from __future__ import annotations
 
@@ -162,7 +168,11 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
     Explicit ages are n integer values in 1..l. An occupancy's entries
     must be finite and nonnegative, and each class's mass must be gamma_k
     to within OCCUPANCY_TOL; it is rounded to the 1/n grid by
-    largest-remainder apportionment within each class.
+    largest-remainder apportionment within each class. That rounds at
+    most l cells up by one user each, so a class whose floored counts
+    fall more than l users short of its size (a mass deficit within the
+    tolerance but above l/n, possible once n > 1e9) is a ShapeError, as
+    is one whose floored counts already exceed it.
     """
     if isinstance(initial, OccupancyVector):
         initial = initial.z
@@ -187,6 +197,9 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
         short = size - counts[k].sum()
         if short < 0:
             raise ShapeError(f"class {k}: occupancy mass exceeds gamma*n")
+        if short > cfg.l:
+            raise ShapeError(f"class {k}: occupancy mass is {short} users short "
+                             f"of gamma*n, more than its {cfg.l} cells round up")
         if short > 0:
             remainder = target[k] - counts[k]
             top = np.argsort(-remainder, kind="stable")[:short]
@@ -194,12 +207,19 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
     return counts.ravel()
 
 
-def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
-    """The policy's slot on (rows, k*l) counts: draw(counts, rng) -> successes.
+def _drawer(blocks, rows: int):
+    """The blocks' slot on their stacked counts: draw(counts) -> successes.
 
-    Each rule is an exact draw of the per-user law. Where users are drawn
-    one by one, ids index the batch's flat cells and p_rows is their
-    success probability.
+    A block is (cfg, policy, initial, rng) with `rows` rows; counts is
+    (len(blocks)*rows, k*l), block b's rows at b*rows onward. The blocks
+    must share policy.kind, k, l and the classes' p (ShapeError
+    otherwise), so they share one service order and one p per cell;
+    their n, m and policy solutions may differ. Each block draws from its
+    own rng by the rule its own n and m select, in the order it would
+    draw alone, so its successes do not depend on the other blocks. Each
+    rule is an exact draw of the per-user law. Where users are drawn one
+    by one, ids index the stacked flat cells, p_rows is their success
+    probability, and one Bernoulli tail serves every such block.
 
     uniform_random has two exact draws of one multivariate hypergeometric
     law. Up to UNIFORM_PERMUTE_MAX_N users it expands the counts to R*n
@@ -210,17 +230,24 @@ def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
     not grow with n; the permutation overtakes it between n = 1000 and
     1500 at k*l = 100. The two draws give different streams.
     """
-    m = cfg.m
+    cfg, policy = blocks[0][:2]
+    for other, pol, _, _ in blocks[1:]:
+        if (pol.kind, other.k, other.l, other.p_vector().tolist()) != (
+                policy.kind, cfg.k, cfg.l, cfg.p_vector().tolist()):
+            raise ShapeError("stacked blocks must share the policy kind, k, l and p")
     p_cells = _p_cells(cfg)
-    ids = np.arange(rows * cfg.k * cfg.l)
-    p_rows = np.tile(p_cells, rows)
+    cells = cfg.k * cfg.l
+    ids = np.arange(len(blocks) * rows * cells).reshape(len(blocks), -1)
+    p_rows = np.tile(p_cells, len(blocks) * rows)
+    spans = [slice(b * rows, (b + 1) * rows) for b in range(len(blocks))]
 
-    def bernoulli(cell, rng):
-        won = cell[rng.random(cell.size) < p_rows[cell]]
-        return np.bincount(won, minlength=ids.size).reshape(rows, -1)
+    def bernoulli(cell, uniforms):
+        won = cell[uniforms < p_rows[cell]]
+        return np.bincount(won, minlength=ids.size).reshape(-1, cells)
 
     if policy.kind in ("whittle", "greedy_max_age"):
         order = _order(cfg, policy.kind)
+        budget = np.repeat([bcfg.m for bcfg, _, _, _ in blocks], rows)[:, None]
         # One uniform per served user costs O(R*m); Generator.binomial
         # costs about 6 us per call plus 8-10 ns per cell, served or not.
         # One success draw from Dirichlet-spread counts, R = 8 and
@@ -229,28 +256,48 @@ def _drawer(cfg: NetworkConfig, policy: PolicyKind, rows: int):
         # 29-64 us at m = 200; at k*l = 1000, 58-176 against 157-390 us
         # for m <= 1000, but 598-650 against 487-497 us at m = 2000,
         # R = 16. So the crossover lies between k*l and 2*k*l.
-        if m <= cfg.k * cfg.l:
-            def draw(counts, rng):
-                served = _serve_in_order(counts, m, order)
-                return bernoulli(np.repeat(ids, served.ravel()), rng)
-        else:
-            def draw(counts, rng):
-                return rng.binomial(_serve_in_order(counts, m, order), p_cells)
-    elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
-        def draw(counts, rng):
-            # Every row sums to n, so row r's n ids are its own cells.
-            users = np.repeat(ids, counts.ravel()).reshape(rows, -1)
-            return bernoulli(rng.permuted(users, axis=1)[:, :m].ravel(), rng)
-    elif policy.kind == "uniform_random":
-        def draw(counts, rng):
-            served = np.array([rng.multivariate_hypergeometric(row, m)
-                               for row in counts])
-            return rng.binomial(served, p_cells)
-    else:
-        q_cells = rp_coins(policy.solution, cfg).ravel() * p_cells
+        thin = budget <= cells
+        tail = [(rng, bcfg.m) for bcfg, _, _, rng in blocks if bcfg.m <= cells]
+        rest = [(span, rng) for span, (bcfg, _, _, rng) in zip(spans, blocks)
+                if bcfg.m > cells]
 
-        def draw(counts, rng):
-            return rng.binomial(counts, q_cells)
+        def draw(counts):
+            served = _serve_in_order(counts, budget, order)
+            if tail:
+                uniforms = np.concatenate([rng.random(rows * m) for rng, m in tail])
+                won = bernoulli(np.repeat(ids, (served * thin).ravel()), uniforms)
+            else:
+                won = np.empty_like(counts)
+            for span, rng in rest:
+                won[span] = rng.binomial(served[span], p_cells)
+            return won
+    elif policy.kind == "uniform_random":
+        def draw(counts):
+            cell, uniforms, rest = [], [], []
+            for b, (bcfg, _, _, rng) in enumerate(blocks):
+                m, mine = bcfg.m, counts[spans[b]]
+                if bcfg.n <= UNIFORM_PERMUTE_MAX_N:
+                    # Every row sums to n, so row r's n ids are its own cells.
+                    users = np.repeat(ids[b], mine.ravel()).reshape(rows, -1)
+                    cell.append(rng.permuted(users, axis=1)[:, :m].ravel())
+                    uniforms.append(rng.random(rows * m))
+                else:
+                    served = np.array([rng.multivariate_hypergeometric(row, m)
+                                       for row in mine])
+                    rest.append((spans[b], rng.binomial(served, p_cells)))
+            won = (bernoulli(np.concatenate(cell), np.concatenate(uniforms)) if cell
+                   else np.empty_like(counts))
+            for span, part in rest:
+                won[span] = part
+            return won
+    else:
+        q_cells = [rp_coins(pol.solution, bcfg).ravel() * p_cells
+                   for bcfg, pol, _, _ in blocks]
+
+        def draw(counts):
+            return np.concatenate([rng.binomial(counts[span], q)
+                                   for span, q, (_, _, _, rng)
+                                   in zip(spans, q_cells, blocks)])
     return draw
 
 
@@ -279,18 +326,22 @@ def _expected_slot(masses: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     return _advance(masses, served * _p_cells(cfg), cfg.l)
 
 
-def _paths(cfg: NetworkConfig, policy: PolicyKind, initial, rows: int, rng):
-    """Yield the (rows, k*l) counts of slots 0, 1, 2, ... without end.
+def _paths(blocks, rows: int):
+    """Yield the stacked counts of slots 0, 1, 2, ... without end.
 
-    Every row starts from _initial_counts(initial). Callers must not
-    modify a yielded array. _check_draw bounds n.
+    blocks are (cfg, policy, initial, rng) as _drawer takes them; the
+    yielded array is (len(blocks)*rows, k*l), and block b's rows, from
+    b*rows on, start from _initial_counts(initial, cfg). Callers must
+    not modify a yielded array. _check_draw bounds each block's n.
     """
-    _check_draw(cfg, policy.kind)
-    draw = _drawer(cfg, policy, rows)
-    counts = np.tile(_initial_counts(initial, cfg), (rows, 1))
+    for cfg, policy, _, _ in blocks:
+        _check_draw(cfg, policy.kind)
+    draw = _drawer(blocks, rows)
+    counts = np.repeat([_initial_counts(initial, cfg)
+                        for cfg, _, initial, _ in blocks], rows, axis=0)
     while True:
         yield counts
-        counts = _advance(counts, draw(counts, rng), cfg.l)
+        counts = _advance(counts, draw(counts), blocks[0][0].l)
 
 
 def _check_draw(cfg: NetworkConfig, kind: str) -> None:
@@ -317,6 +368,38 @@ def _check_rows(replications: int) -> None:
         raise RangeError(f"replications must be >= 1, got {replications}")
 
 
+def _simulate_blocks(blocks, horizon: int, rows: int) -> list[list[SimRecord]]:
+    """simulate for every block of one stacked batch (see _drawer).
+
+    Returns, per block, its rows records, equal to those of a lone
+    simulate with that block's arguments, since each block draws from
+    its own rng in its own order.
+    """
+    for cfg, _, _, _ in blocks:
+        check_horizon(cfg, horizon)
+    _check_rows(rows)
+    k, l = blocks[0][0].k, blocks[0][0].l
+    cell_ages = np.tile(np.arange(1, l + 1), k)
+    skip = int(horizon * WARMUP_FRACTION)
+    head = np.zeros(len(blocks) * rows, dtype=np.int64)
+    tail = np.zeros(len(blocks) * rows, dtype=np.int64)
+    for t, counts in enumerate(_paths(blocks, rows)):
+        if t == horizon:
+            break
+        if t < skip:
+            head += counts @ cell_ages
+        else:
+            tail += counts @ cell_ages
+    records = []
+    for b, (cfg, _, _, _) in enumerate(blocks):
+        records.append([SimRecord(
+            per_user_avg_age=int(head[r] + tail[r]) / (horizon * cfg.n),
+            per_user_avg_age_trimmed=int(tail[r]) / ((horizon - skip) * cfg.n),
+            final_occupancy=OccupancyVector(z=counts[r].reshape(k, l) / cfg.n),
+        ) for r in range(b * rows, (b + 1) * rows)])
+    return records
+
+
 def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
              seed: int | np.random.SeedSequence, initial,
              replications: int | None = None):
@@ -332,29 +415,9 @@ def simulate(cfg: NetworkConfig, policy: PolicyKind, horizon: int,
     Ages are summed in int64: check_horizon raises RangeError unless
     horizon*n*l is below 2**63.
     """
-    check_horizon(cfg, horizon)
-    rows = 1 if replications is None else replications
-    _check_rows(rows)
-    n, k, l = cfg.n, cfg.k, cfg.l
-    cell_ages = np.tile(np.arange(1, l + 1), k)
-    skip = int(horizon * WARMUP_FRACTION)
-    head = np.zeros(rows, dtype=np.int64)
-    tail = np.zeros(rows, dtype=np.int64)
-    for t, counts in enumerate(_paths(cfg, policy, initial, rows,
-                                      np.random.default_rng(seed))):
-        if t == horizon:
-            break
-        if t < skip:
-            head += counts @ cell_ages
-        else:
-            tail += counts @ cell_ages
-    records = []
-    for r in range(rows):
-        records.append(SimRecord(
-            per_user_avg_age=int(head[r] + tail[r]) / (horizon * n),
-            per_user_avg_age_trimmed=int(tail[r]) / ((horizon - skip) * n),
-            final_occupancy=OccupancyVector(z=counts[r].reshape(k, l) / n),
-        ))
+    block = (cfg, policy, initial, np.random.default_rng(seed))
+    records = _simulate_blocks([block], horizon,
+                               1 if replications is None else replications)[0]
     return records[0] if replications is None else records
 
 
@@ -378,9 +441,8 @@ def hitting_times(cfg: NetworkConfig, initial, epsilon: float,
     z_star = sol.z_star.z.ravel()
     hits: list[int | None] = [None] * replications
     waiting = np.ones(replications, dtype=bool)
-    for t, counts in enumerate(_paths(cfg, PolicyKind("whittle"), initial,
-                                      replications,
-                                      np.random.default_rng(seed))):
+    block = (cfg, PolicyKind("whittle"), initial, np.random.default_rng(seed))
+    for t, counts in enumerate(_paths([block], replications)):
         inside = np.linalg.norm(counts / cfg.n - z_star, axis=1) <= epsilon
         for r in np.flatnonzero(inside & waiting):
             hits[r] = t
@@ -402,8 +464,8 @@ def fluid_deviation(cfg: NetworkConfig, horizon: int,
     """
     worst = 0.0
     z_fluid = None
-    for t, counts in enumerate(_paths(cfg, PolicyKind("whittle"), initial, 1,
-                                      np.random.default_rng(seed))):
+    block = (cfg, PolicyKind("whittle"), initial, np.random.default_rng(seed))
+    for t, counts in enumerate(_paths([block], 1)):
         if t == horizon:
             return worst
         occ = counts / cfg.n

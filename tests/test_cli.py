@@ -24,6 +24,7 @@ from aoisched.cli import (
 from aoisched.errors import ParseError, RangeError
 from aoisched.fluid import region_margin
 from aoisched.relaxed import solve_rp
+from aoisched.sim import POLICY_NAMES
 
 
 CHEAP = {
@@ -520,6 +521,29 @@ def test_experiment_outputs_and_determinism(tmp_path):
     assert summary["points"]
 
 
+def test_experiment_point_rows_do_not_depend_on_the_sweep(tmp_path):
+    # each policy steps the whole sweep as one stacked batch, yet every
+    # point's rows, whittle's hitting times included, are those of a
+    # sweep of its n alone; m = 10, 40 <= k*l = 50 < m = 160
+    base = NetworkConfig(n=20, alpha=0.5, l=25, classes=(
+        ClassSpec(p=0.8, gamma=0.5), ClassSpec(p=0.2, gamma=0.5)))
+
+    def rows_by_n(sweep):
+        out = tmp_path / "-".join(map(str, sweep))
+        run_experiment(ExperimentSpec(
+            base=base, n_sweep=sweep, policies=POLICY_NAMES, replications=3,
+            horizon=80, seed=5, out=str(out), epsilon=0.3, initial="star"))
+        rows = (out / "rows.csv").read_text().splitlines()[1:]
+        return {n: [row for row in rows if row.split(",")[1] == str(n)]
+                for n in sweep}
+
+    stacked = rows_by_n((320, 20, 80))
+    for n in (320, 20, 80):
+        alone = rows_by_n((n,))[n]
+        assert len(alone) == 4 * 3
+        assert stacked[n] == alone, n
+
+
 def test_experiment_hitting_column_gated(tmp_path):
     run_experiment(experiment_spec(tmp_path / "h", n_sweep=(12,),
                                    epsilon=0.5, horizon=200))
@@ -639,6 +663,23 @@ def test_hitting_time_past_int64_counts_is_validation_error(tmp_path, capsys):
                  "--cap", "5"]) == 2
     err = stderr_error(capsys)
     assert err["error"] == "RangeError" and "2**63" in err["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2 ** 60 + 1, "alpha": 0.5, "l": 5,
+     "classes": [{"p": 0.5, "gamma": 0.5}, {"p": 0.8, "gamma": 0.5}]},
+    huge(2 ** 63 - 1)])
+def test_hitting_time_class_sizes_off_n_is_validation_error(tmp_path, capsys,
+                                                            doc):
+    # class sizes that do not sum to n: the gamma = 1 config exited 1 with
+    # an OverflowError traceback from the start's int64 counts
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["hitting-time", "--config", cfg_path, "--epsilon", "0.05",
+                 "--cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "IntegralityError"
 
 
 def test_simulate_uniform_past_hypergeometric_bound_is_validation_error(

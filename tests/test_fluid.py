@@ -503,8 +503,8 @@ def test_fluid_deviation_matches_fluid_step_loop(n, seed):
     # a fluid_step loop from its first state
     cfg = dataclasses.replace(two_class_ref(), n=n)
     sol = solve_rp(cfg)
-    paths = _paths(cfg, PolicyKind("whittle"), sol.z_star, 1,
-                   np.random.default_rng(seed))
+    paths = _paths([(cfg, PolicyKind("whittle"), sol.z_star,
+                    np.random.default_rng(seed))], 1)
     trace = [counts[0].reshape(cfg.k, cfg.l) / cfg.n
              for counts in itertools.islice(paths, 200)]
     z = trace[0]

@@ -73,6 +73,19 @@ def test_non_integral_budget_and_class_sizes():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("n, gammas", [(2 ** 60 + 1, (0.5, 0.5)),
+                                        (2 ** 63 - 1, (1.0,))])
+def test_class_sizes_must_sum_to_n(n, gammas):
+    # past 2**53 gamma*n is a float with no exact form, so the per-class
+    # integrality check passes: (0.5, 0.5) gave sizes summing to n - 1,
+    # and gamma = 1 at 2**63 - 1 a size of 2**63
+    cfg = NetworkConfig(n=n, alpha=0.5, l=3, classes=tuple(
+        ClassSpec(p=0.5, gamma=g) for g in gammas))
+    assert sum(cfg.class_sizes()) != n
+    with pytest.raises(IntegralityError, match="do not sum to n"):
+        validate_config(cfg)
+
+
 def test_budget_must_leave_slack():
     # alpha close enough to 1 that m = n after rounding
     cfg = NetworkConfig(n=3, alpha=0.999999999999, l=4,

@@ -27,6 +27,7 @@ from aoisched.sim import (
     _order,
     _paths,
     _serve_in_order,
+    _simulate_blocks,
     _whittle_rank,
     class_ids,
     fluid_deviation,
@@ -272,7 +273,7 @@ def test_trace_reconstructs_estimators():
     horizon = 50
     ones = np.ones(cfg.n, dtype=int)
     rec = simulate(cfg, PolicyKind("whittle"), horizon, 9, ones)
-    paths = _paths(cfg, PolicyKind("whittle"), ones, 1, np.random.default_rng(9))
+    paths = _paths([(cfg, PolicyKind("whittle"), ones, np.random.default_rng(9))], 1)
     trace = np.array([counts[0].reshape(cfg.k, cfg.l) / cfg.n
                       for counts in itertools.islice(paths, horizon)])
     np.testing.assert_allclose(trace.sum(axis=(1, 2)), 1.0, atol=1e-12)
@@ -366,6 +367,20 @@ def test_occupancy_within_tolerance_accepted():
     cfg = one_class_400()
     z = np.array([[0.5, 0.5 - 0.5 * OCCUPANCY_TOL, 0.0]])
     assert _initial_counts(z, cfg).tolist() == [200, 200, 0]
+
+
+def test_occupancy_short_of_more_users_than_cells_rejected():
+    # within OCCUPANCY_TOL, but 400 users short at n = 10**12: rounding
+    # up one user per cell added 3, left 397 missing and put one user in
+    # the zero-mass cell ([499999999601, 500000000001, 1])
+    cfg = NetworkConfig(n=10 ** 12, alpha=0.5, l=3,
+                        classes=(ClassSpec(p=0.5, gamma=1.0),))
+    z = np.array([[0.5 - 4e-10, 0.5, 0.0]])
+    with pytest.raises(ShapeError, match="users short"):
+        _initial_counts(z, cfg)
+    # a deficit of at most l users still rounds up to the class size
+    z = np.array([[0.5 - 2e-12, 0.5, 0.0]])
+    assert _initial_counts(z, cfg).tolist() == [499999999999, 500000000001, 0]
 
 
 def test_initial_counts_are_the_binned_initial_ages():
@@ -512,6 +527,61 @@ def test_kernel_one_slot_expectation_is_fluid_step():
     assert checked == 400 and cross >= 10
 
 
+def sweep_configs(ns, l=8):
+    return [NetworkConfig(n=n, alpha=0.25, l=l, classes=(
+        ClassSpec(p=0.3, gamma=0.5), ClassSpec(p=0.8, gamma=0.5))) for n in ns]
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_stacked_blocks_equal_lone_simulate(name):
+    # one batch over a sweep gives each block the records of simulate
+    # with that block's seed alone: m = 6, 10 <= k*l = 16 < m = 20, 300
+    # for the ordered policies, and n on both sides of
+    # UNIFORM_PERMUTE_MAX_N; two blocks of each kind share a draw
+    configs = sweep_configs((1200, 40, 80, 24))
+    assert configs[3].m < configs[1].m <= 2 * 8 < configs[2].m
+    assert configs[2].n <= UNIFORM_PERMUTE_MAX_N < configs[0].n
+    horizon, rows = 60, 3
+    starts = [np.ones(cfg.n, dtype=int) for cfg in configs]
+    starts[2] = solve_rp(configs[2]).z_star
+    policies = [policy_named(name, cfg) for cfg in configs]
+    blocks = [(cfg, pol, start, np.random.default_rng(seed))
+              for seed, (cfg, pol, start)
+              in enumerate(zip(configs, policies, starts))]
+    batch = _simulate_blocks(blocks, horizon, rows)
+    assert [len(recs) for recs in batch] == [rows] * 4
+    for seed, (cfg, pol, start, recs) in enumerate(
+            zip(configs, policies, starts, batch)):
+        alone = simulate(cfg, pol, horizon, seed, start, replications=rows)
+        for mine, theirs in zip(recs, alone):
+            assert mine.per_user_avg_age == theirs.per_user_avg_age
+            assert mine.per_user_avg_age_trimmed == theirs.per_user_avg_age_trimmed
+            np.testing.assert_array_equal(mine.final_occupancy.z,
+                                          theirs.final_occupancy.z)
+
+
+@pytest.mark.parametrize("other", [
+    sweep_configs((40,), l=9)[0],
+    NetworkConfig(n=40, alpha=0.25, l=8, classes=(ClassSpec(p=0.3, gamma=1.0),)),
+    NetworkConfig(n=40, alpha=0.25, l=8, classes=(
+        ClassSpec(p=0.3, gamma=0.5), ClassSpec(p=0.7, gamma=0.5))),
+], ids=["l", "k", "p"])
+def test_stacked_blocks_must_share_the_cells(other):
+    cfg = sweep_configs((40,))[0]
+    blocks = [(c, PolicyKind("whittle"), np.ones(c.n, dtype=int),
+               np.random.default_rng(0)) for c in (cfg, other)]
+    with pytest.raises(ShapeError):
+        _simulate_blocks(blocks, 5, 2)
+
+
+def test_stacked_blocks_must_share_the_policy_kind():
+    cfg = sweep_configs((40,))[0]
+    blocks = [(cfg, PolicyKind(kind), np.ones(cfg.n, dtype=int),
+               np.random.default_rng(0)) for kind in ("whittle", "greedy_max_age")]
+    with pytest.raises(ShapeError):
+        _simulate_blocks(blocks, 5, 2)
+
+
 def test_batch_rows_rerun_identical_and_distinct():
     cfg = tie_heavy()
     ones = np.ones(cfg.n, dtype=int)
@@ -628,10 +698,11 @@ def test_draw_at_p_one_is_the_reference_served_counts(name):
     rows = 5
     for cfg in cases:
         pol = policy_named(name, cfg)
-        draw, serve = _drawer(cfg, pol, rows), ref.server(cfg, pol)
+        serve = ref.server(cfg, pol)
         for seed in range(20):
             counts = np.stack([random_counts(cfg, rng) for _ in range(rows)])
-            mine = draw(counts, np.random.default_rng(seed))
+            mine = _drawer([(cfg, pol, None, np.random.default_rng(seed))],
+                           rows)(counts)
             theirs = serve(counts, np.random.default_rng(seed))
             np.testing.assert_array_equal(mine, theirs)
 
@@ -652,7 +723,7 @@ def test_kernel_keeps_the_binomial_stream_where_the_draw_is_unchanged():
         assert cfg.m > cfg.k * cfg.l or cfg.n > UNIFORM_PERMUTE_MAX_N
         pol = policy_named(name, cfg)
         ones = np.ones(cfg.n, dtype=int)
-        mine = _paths(cfg, pol, ones, rows, np.random.default_rng(3))
+        mine = _paths([(cfg, pol, ones, np.random.default_rng(3))], rows)
         theirs = ref.binomial_paths(cfg, pol, ones, rows, np.random.default_rng(3))
         cell_ages = np.tile(np.arange(1, cfg.l + 1), cfg.k)
         total = np.zeros(rows, dtype=np.int64)
@@ -681,7 +752,7 @@ def test_one_slot_successes_have_the_per_user_law(name, n):
     rng = np.random.default_rng(22)
     counts = random_counts(cfg, rng)
     pol = policy_named(name, cfg)
-    won = _drawer(cfg, pol, rows)(np.tile(counts, (rows, 1)), rng)
+    won = _drawer([(cfg, pol, None, rng)], rows)(np.tile(counts, (rows, 1)))
     assert won.shape == (rows, cfg.k * cfg.l)
     assert ((won >= 0) & (won <= counts)).all()
     p = np.repeat(cfg.p_vector(), cfg.l)
