@@ -15,8 +15,11 @@ blocks share the policy kind, k, l and p; each keeps its own n, m,
 draw rule and Generator, so its rows do not depend on the other blocks.
 
 A served user who fails and an unserved user both age by one, so a slot
-needs only each cell's successes. Each policy draws them by its own
-rule (see _drawer):
+needs only each cell's successes. Each policy names its users at risk
+and their success probability, and each block draws them by one of two
+exact rules (see _drawer): one uniform per user at risk, drawn in
+flat-cell order by one Bernoulli tail shared by the stacked blocks, up
+to the policy's cutoff, and per-cell Binomial draws above it.
 
 * whittle and greedy_max_age serve m users per row by _serve_in_order:
   cells in ascending _whittle_rank / _greedy_rank order (index or age
@@ -26,19 +29,19 @@ rule (see _drawer):
   them has the same law, because an unsuccessful user of either cell
   moves to age l. _expected_slot is the same rule on real masses, with
   budget alpha, so it is the kernel's expected whittle slot; it is
-  fluid.fluid_step on one row. When m <= k*l each served user draws
+  fluid.fluid_step on one row. When m <= 2*k*l each served user draws
   one uniform against its class's p; otherwise the successes are
   Binomial(served, p_k).
-* uniform_random serves a multivariate hypergeometric sample of m users
-  by one of two exact draws: up to UNIFORM_PERMUTE_MAX_N users, a
-  row-wise permutation of the block's R*n cell ids, one per user, whose
-  first m ids each draw one uniform against p; above it, one
-  multivariate_hypergeometric call per row, then Binomial(served, p_k);
-  that call needs n < 10**9.
+* uniform_random serves a uniform m-subset of the users. Up to
+  UNIFORM_KEYS_MAX_N users each user draws one key, and a user succeeds
+  when its key is below p * s, s being its row's (m+1)-th smallest key;
+  above it, one multivariate_hypergeometric call per row serves the
+  users, then Binomial(served, p_k); that call needs n < 10**9.
 * rp_threshold schedules each user with its cell's coin and the channel
-  succeeds with p, independently, so a cell's successes are one
-  Binomial(count, coin * p_k), the coins being relaxed.rp_coins of the
-  policy's relaxed solution.
+  succeeds with p, independently, the coins being relaxed.rp_coins of
+  the policy's relaxed solution. When m <= 2*k*l every user of a cell
+  with coin > 0 draws one uniform against coin * p_k; otherwise a
+  cell's successes are one Binomial(count, coin * p_k).
 
 Successful users reset to age 1 and every other user ages by one,
 truncated at l. All rows of a block draw from one Generator, so row r
@@ -67,12 +70,15 @@ OCCUPANCY_TOL = 1e-9
 WARMUP_FRACTION = 0.1
 
 POLICY_NAMES = ("whittle", "greedy_max_age", "rp_threshold", "uniform_random")
-# Largest n at which uniform_random draws by permuting cell ids. One
-# serve call with k*l = 100 cells (2 vCPUs, numpy 2.4): with 8 rows the
-# permutation took 46-66 us at n = 320, 123-163 us at 1000 and 169-256
-# us at 1500, against 166-239 us for the per-row loop at n = 320-2000;
-# with 16 rows 272-329 us at 1000 and 461-525 us at 1500 against 310-480.
-UNIFORM_PERMUTE_MAX_N = 1000
+# Largest n at which uniform_random draws one key per user. One draw
+# call from counts 60 slots after z_star, keys against the per-row
+# multivariate_hypergeometric loop, 8 | 16 rows (2 vCPUs, numpy 2.4):
+# at k*l = 100, 56 | 92 against 241 | 397 us at n = 320, 146 | 212
+# against 279 | 407 us at n = 1000 and 280 | 489 against 368 | 440 us at
+# n = 1500; at k*l = 1000, 849 | 1692 against 1071 | 1911 us at n = 4000
+# and 1640 | 3455 against 1059 | 2037 us at n = 8000. The loop's cost
+# grows with k*l and the keys' with n, but the cutoff is on n alone.
+UNIFORM_KEYS_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -168,9 +174,10 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
     Explicit ages are n integer values in 1..l. An occupancy's entries
     must be finite and nonnegative, and each class's mass must be gamma_k
     to within OCCUPANCY_TOL; it is rounded to the 1/n grid by
-    largest-remainder apportionment within each class. That rounds at
-    most l cells up by one user each, so a class whose floored counts
-    fall more than l users short of its size (a mass deficit within the
+    largest-remainder apportionment within each class, over the cells of
+    positive mass only. That rounds each such cell up by at most one
+    user, so a class whose floored counts fall short of its size by more
+    than its number of positive cells (a mass deficit within the
     tolerance but above l/n, possible once n > 1e9) is a ShapeError, as
     is one whose floored counts already exceed it.
     """
@@ -195,13 +202,16 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
     counts = np.floor(target).astype(np.int64)
     for k, size in enumerate(cfg.class_sizes()):
         short = size - counts[k].sum()
+        positive = np.count_nonzero(target[k])
         if short < 0:
             raise ShapeError(f"class {k}: occupancy mass exceeds gamma*n")
-        if short > cfg.l:
+        if short > positive:
             raise ShapeError(f"class {k}: occupancy mass is {short} users short "
-                             f"of gamma*n, more than its {cfg.l} cells round up")
+                             f"of gamma*n, more than its {positive} cells of "
+                             f"positive mass round up")
         if short > 0:
-            remainder = target[k] - counts[k]
+            # zero-mass cells rank last, below every real remainder
+            remainder = np.where(target[k] > 0, target[k] - counts[k], -1.0)
             top = np.argsort(-remainder, kind="stable")[:short]
             counts[k, top] += 1
     return counts.ravel()
@@ -217,18 +227,24 @@ def _drawer(blocks, rows: int):
     their n, m and policy solutions may differ. Each block draws from its
     own rng by the rule its own n and m select, in the order it would
     draw alone, so its successes do not depend on the other blocks. Each
-    rule is an exact draw of the per-user law. Where users are drawn one
-    by one, ids index the stacked flat cells, p_rows is their success
-    probability, and one Bernoulli tail serves every such block.
+    rule is an exact draw of the per-user law.
 
-    uniform_random has two exact draws of one multivariate hypergeometric
-    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the counts to R*n
-    cell ids, one per user, shuffles each row and serves its first m ids,
-    since the first m entries of a uniform permutation are a uniform
-    m-subset; time and memory are O(R*n). Above the cutoff it makes one
+    Up to its cutoff a block draws per user: its policy names the users
+    at risk and their success probability q, and one Bernoulli tail
+    draws one uniform for each, in flat-cell order, from the block's rng;
+    a user succeeds when its uniform is below q. While m <= 2*k*l, the
+    ordered policies' users at risk are the served ones, with q = p, and
+    rp_threshold's are the users of every cell with coin > 0, with
+    q = coin * p. uniform_random, up to UNIFORM_KEYS_MAX_N users, gives
+    each user one key: the m smallest keys are held by a uniform m-subset
+    of the users and, given s, the (m+1)-th smallest key (s = 1 when
+    m = n), are i.i.d. U(0, s), so the key itself is the user's uniform,
+    with q = p * s. Ties between keys, of probability at most about
+    n**2 * 2**-53, are the only departure from the exact law. Above the
+    cutoffs the successes are Binomial(served, p) for the ordered
+    policies, Binomial(count, coin * p) for rp_threshold and, after one
     Generator.multivariate_hypergeometric call per row, whose cost does
-    not grow with n; the permutation overtakes it between n = 1000 and
-    1500 at k*l = 100. The two draws give different streams.
+    not grow with n, Binomial(served, p) for uniform_random.
     """
     cfg, policy = blocks[0][:2]
     for other, pol, _, _ in blocks[1:]:
@@ -237,67 +253,80 @@ def _drawer(blocks, rows: int):
             raise ShapeError("stacked blocks must share the policy kind, k, l and p")
     p_cells = _p_cells(cfg)
     cells = cfg.k * cfg.l
-    ids = np.arange(len(blocks) * rows * cells).reshape(len(blocks), -1)
-    p_rows = np.tile(p_cells, len(blocks) * rows)
-    spans = [slice(b * rows, (b + 1) * rows) for b in range(len(blocks))]
+    if policy.kind == "rp_threshold":
+        q_cells = [rp_coins(pol.solution, bcfg).ravel() * p_cells
+                   for bcfg, pol, _, _ in blocks]
+    else:
+        q_cells = [p_cells] * len(blocks)
+    q_rows = np.repeat(q_cells, rows, axis=0)
+    ids = np.arange(q_rows.size)
+    if policy.kind == "uniform_random":
+        per_user = np.array([bcfg.n <= UNIFORM_KEYS_MAX_N for bcfg, _, _, _ in blocks])
+    else:
+        # One uniform per user at risk costs O(R*m); Generator.binomial
+        # costs a few us per call plus 8-10 ns per cell, served or not.
+        # One draw call from counts 60 slots after z_star, per-user
+        # against Binomial, 8 | 16 rows (2 vCPUs, numpy 2.4): at
+        # k*l = 100, whittle 35 | 45 against 45 | 60 us at m = 100,
+        # 46 | 69 against 51 | 75 us at m = 200 and 66 | 115 against
+        # 52 | 82 us at m = 500; rp_threshold 20 | 47 against 29 | 61,
+        # 46 | 51 against 52 | 53 and 61 | 158 against 41 | 85 us. At
+        # k*l = 1000 the crossover lies lower, near k*l: whittle
+        # 180 | 860 against 189 | 798 us at m = 1000 and 409 | 1254
+        # against 200 | 566 us at m = 2000.
+        per_user = np.array([bcfg.m <= 2 * cells for bcfg, _, _, _ in blocks])
+    tail_rows = np.repeat(per_user, rows)[:, None]
+    tail, rest = [], []
+    for b, (bcfg, _, _, rng) in enumerate(blocks):
+        span = slice(b * rows, (b + 1) * rows)
+        (tail if per_user[b] else rest).append((span, bcfg, rng, q_cells[b]))
 
-    def bernoulli(cell, uniforms):
-        won = cell[uniforms < p_rows[cell]]
-        return np.bincount(won, minlength=ids.size).reshape(-1, cells)
+    def bernoulli(users, uniforms, q):
+        """Successes of `users` per stacked cell, each drawing one of
+        `uniforms` in flat-cell order against q of its cell."""
+        if not uniforms:
+            return np.zeros_like(users)
+        cell = np.repeat(ids, users.ravel())
+        won = cell[np.concatenate(uniforms) < q.ravel()[cell]]
+        return np.bincount(won, minlength=ids.size).reshape(users.shape)
 
     if policy.kind in ("whittle", "greedy_max_age"):
         order = _order(cfg, policy.kind)
         budget = np.repeat([bcfg.m for bcfg, _, _, _ in blocks], rows)[:, None]
-        # One uniform per served user costs O(R*m); Generator.binomial
-        # costs about 6 us per call plus 8-10 ns per cell, served or not.
-        # One success draw from Dirichlet-spread counts, R = 8 and
-        # 16 rows (2 vCPUs, numpy 2.4): at k*l = 100 the uniforms took
-        # 6-35 us against 15-59 us for m <= 100, and 20-56 against
-        # 29-64 us at m = 200; at k*l = 1000, 58-176 against 157-390 us
-        # for m <= 1000, but 598-650 against 487-497 us at m = 2000,
-        # R = 16. So the crossover lies between k*l and 2*k*l.
-        thin = budget <= cells
-        tail = [(rng, bcfg.m) for bcfg, _, _, rng in blocks if bcfg.m <= cells]
-        rest = [(span, rng) for span, (bcfg, _, _, rng) in zip(spans, blocks)
-                if bcfg.m > cells]
 
         def draw(counts):
             served = _serve_in_order(counts, budget, order)
-            if tail:
-                uniforms = np.concatenate([rng.random(rows * m) for rng, m in tail])
-                won = bernoulli(np.repeat(ids, (served * thin).ravel()), uniforms)
-            else:
-                won = np.empty_like(counts)
-            for span, rng in rest:
-                won[span] = rng.binomial(served[span], p_cells)
+            won = bernoulli(served * tail_rows,
+                            [rng.random(rows * bcfg.m) for _, bcfg, rng, _ in tail],
+                            q_rows)
+            for span, _, rng, q in rest:
+                won[span] = rng.binomial(served[span], q)
             return won
     elif policy.kind == "uniform_random":
         def draw(counts):
-            cell, uniforms, rest = [], [], []
-            for b, (bcfg, _, _, rng) in enumerate(blocks):
-                m, mine = bcfg.m, counts[spans[b]]
-                if bcfg.n <= UNIFORM_PERMUTE_MAX_N:
-                    # Every row sums to n, so row r's n ids are its own cells.
-                    users = np.repeat(ids[b], mine.ravel()).reshape(rows, -1)
-                    cell.append(rng.permuted(users, axis=1)[:, :m].ravel())
-                    uniforms.append(rng.random(rows * m))
-                else:
-                    served = np.array([rng.multivariate_hypergeometric(row, m)
-                                       for row in mine])
-                    rest.append((spans[b], rng.binomial(served, p_cells)))
-            won = (bernoulli(np.concatenate(cell), np.concatenate(uniforms)) if cell
-                   else np.empty_like(counts))
-            for span, part in rest:
-                won[span] = part
+            keys, scale = [], np.ones((len(counts), 1))
+            for span, bcfg, rng, _ in tail:
+                key = rng.random((rows, bcfg.n))
+                if bcfg.m < bcfg.n:
+                    scale[span, 0] = np.partition(key, bcfg.m, axis=1)[:, bcfg.m]
+                keys.append(key.ravel())
+            won = bernoulli(counts * tail_rows, keys, q_rows * scale)
+            for span, bcfg, rng, q in rest:
+                served = np.array([rng.multivariate_hypergeometric(row, bcfg.m)
+                                   for row in counts[span]])
+                won[span] = rng.binomial(served, q)
             return won
     else:
-        q_cells = [rp_coins(pol.solution, bcfg).ravel() * p_cells
-                   for bcfg, pol, _, _ in blocks]
+        tail_rows = tail_rows & (q_rows > 0)
 
         def draw(counts):
-            return np.concatenate([rng.binomial(counts[span], q)
-                                   for span, q, (_, _, _, rng)
-                                   in zip(spans, q_cells, blocks)])
+            users = counts * tail_rows
+            sizes = users.reshape(len(blocks), -1).sum(axis=1)[per_user]
+            won = bernoulli(users, [rng.random(size) for (_, _, rng, _), size
+                                    in zip(tail, sizes)], q_rows)
+            for span, _, rng, q in rest:
+                won[span] = rng.binomial(counts[span], q)
+            return won
     return draw
 
 

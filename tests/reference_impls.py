@@ -50,7 +50,7 @@ from aoisched.relaxed import (
     scheduled_fraction,
 )
 from aoisched.sim import (
-    UNIFORM_PERMUTE_MAX_N,
+    UNIFORM_KEYS_MAX_N,
     WARMUP_FRACTION,
     _advance,
     _greedy_rank,
@@ -598,11 +598,13 @@ def server(cfg, policy):
     """The policy's rule on counts: serve(counts, rng) -> served per cell.
 
     uniform_random has two exact draws of one multivariate hypergeometric
-    law. Up to UNIFORM_PERMUTE_MAX_N users it expands the (R, k*l) counts
-    to R*n cell ids, one per user, shuffles each row and serves its first
-    m ids, since the first m entries of a uniform permutation are a
-    uniform m-subset. Above the cutoff it makes one
-    Generator.multivariate_hypergeometric call per row.
+    law. Up to UNIFORM_KEYS_MAX_N users it expands the (R, k*l) counts
+    to R*n cell ids, one per user, draws one key per user and serves the
+    ids of each row's m smallest keys, found by a full argsort. Above the
+    cutoff it makes one Generator.multivariate_hypergeometric call per
+    row. rp_threshold schedules each user with its cell's coin: one
+    uniform per user of a cell with coin > 0, in flat-cell order, while
+    m <= 2*k*l, and one Binomial(count, coin) per cell above that.
     """
     m = cfg.m
     if policy.kind in ("whittle", "greedy_max_age"):
@@ -611,16 +613,28 @@ def server(cfg, policy):
 
         def serve(counts, rng):
             return _serve_in_order(counts, m, order)
-    elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_PERMUTE_MAX_N:
+    elif policy.kind == "uniform_random" and cfg.n <= UNIFORM_KEYS_MAX_N:
         def serve(counts, rng):
             ids = np.repeat(np.arange(counts.size), counts.ravel())
-            kept = rng.permuted(ids.reshape(len(counts), -1), axis=1)[:, :m]
+            ids = ids.reshape(len(counts), -1)
+            first = np.argsort(rng.random(ids.shape), axis=1)[:, :m]
+            kept = np.take_along_axis(ids, first, axis=1)
             return np.bincount(kept.ravel(), minlength=counts.size).reshape(
                 counts.shape)
     elif policy.kind == "uniform_random":
         def serve(counts, rng):
             return np.array([rng.multivariate_hypergeometric(row, m)
                              for row in counts])
+    elif m <= 2 * cfg.k * cfg.l:
+        coins = rp_cell_coins(cfg, policy.solution).ravel()
+
+        def serve(counts, rng):
+            served = np.zeros_like(counts)
+            users = [(r, c) for r in range(len(counts)) for c in range(counts.shape[1])
+                     if coins[c] > 0 for _ in range(counts[r, c])]
+            for (r, c), u in zip(users, rng.random(len(users))):
+                served[r, c] += u < coins[c]
+            return served
     else:
         coins = rp_cell_coins(cfg, policy.solution).ravel()
 

@@ -125,14 +125,15 @@ def stdout_digest(capsys, argv):
 def test_simulate_stdout_is_pinned(tmp_path, capsys):
     # the digest moves with any change to the seeding rule, the RNG
     # streams, the scheduled sets or the CSV formatting; it last moved
-    # when the kernel began to draw only successes (same law, new stream)
+    # with the per-user draw (same law, new stream): rp_threshold's
+    # uniforms per user at risk and uniform_random's keys
     digest = stdout_digest(capsys, [
         "simulate", "--config", write_config(tmp_path, CHEAP),
         "--policies", "whittle,greedy_max_age,rp_threshold,uniform_random",
         "--initial", "star", "--replications", "3", "--horizon", "300",
         "--seed", "5"])
     assert digest == (
-        "83efb0cca50757515e69b8e334db1a0ec67bfb04a696901084b01aa9635798f1"
+        "920d0ee3322e67a0e6c318e1e84938addcf4a4f56c62e528876ca31a6269323f"
     )
 
 

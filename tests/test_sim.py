@@ -18,7 +18,7 @@ from aoisched.relaxed import rp_coins, solve_rp
 from aoisched.sim import (
     OCCUPANCY_TOL,
     POLICY_NAMES,
-    UNIFORM_PERMUTE_MAX_N,
+    UNIFORM_KEYS_MAX_N,
     PolicyKind,
     _advance,
     _drawer,
@@ -190,9 +190,10 @@ def test_whittle_rank_matches_group_loop_reference():
 def test_experiment_rows_are_pinned(tmp_path):
     # rows.csv of a tie-heavy sweep over all four policies; the digest
     # moves with any change to the RNG streams or the scheduled sets.
-    # It last moved when the kernel began to draw only successes (same
-    # law, new stream): one uniform per served user, since m <= k*l at
-    # both points, and one thinned Binomial for rp_threshold.
+    # It last moved with the per-user draw (same law, new stream): one
+    # uniform per user at risk for rp_threshold, whose Binomial it
+    # replaced since m <= 2*k*l at both points, and one key per user for
+    # uniform_random, which replaced the row-wise permutation.
     run_experiment(ExperimentSpec(
         base=tie_heavy(), n_sweep=(12, 24),
         policies=("whittle", "greedy_max_age", "rp_threshold", "uniform_random"),
@@ -204,11 +205,11 @@ def test_experiment_rows_are_pinned(tmp_path):
     # or written moves one of these digests while rows.csv stays put.
     want = {
         "rows.csv":
-            "8209d2ce09d72fcc3cb1e2e5023ab305503bde47293aa7d7cb462276bf18abf7",
+            "afa38d4a83b19be5b81beffd3165387d75b7dcbeee44dfe506a1c5e27fca4f85",
         "summary.json":
-            "0cfed82651af5b4af4db9aec9e12d67cc6f61e1afb8af64ea2f2ab63b3fdf758",
+            "c7afc7cb4503aaffa71bf02181cbd2b3a84ab677ff74b6e0173e767410135e7e",
         "plot.csv":
-            "1eed847c3c646626903b3c5909e49acd56f09f0c9ecbe4e707b2b864dca764a7",
+            "975b6d689e8de20b039d7e47e832a8e19af528d3ca6b31c044dd51218b620fa3",
     }
     for name, digest in want.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -383,6 +384,19 @@ def test_occupancy_short_of_more_users_than_cells_rejected():
     assert _initial_counts(z, cfg).tolist() == [499999999999, 500000000001, 0]
 
 
+def test_occupancy_rounds_up_only_cells_of_positive_mass():
+    # within OCCUPANCY_TOL and two users short at n = 10**12: the
+    # round-up went to the zero-mass cell first, by index, and gave
+    # [1, 500000000001, 499999999998]
+    cfg = NetworkConfig(n=10 ** 12, alpha=0.5, l=3,
+                        classes=(ClassSpec(p=0.5, gamma=1.0),))
+    z = np.array([[0.0, 0.5, 0.5 - 2e-12]])
+    assert _initial_counts(z, cfg).tolist() == [0, 500000000001, 499999999999]
+    # three users short, but only two cells of positive mass to round up
+    with pytest.raises(ShapeError, match="users short"):
+        _initial_counts(np.array([[0.0, 0.5, 0.5 - 3e-12]]), cfg)
+
+
 def test_initial_counts_are_the_binned_initial_ages():
     # the kernel starts from _initial_counts: the reference's per-class
     # loop, binned to cells, for star, ones, maxed, a fractional
@@ -535,12 +549,12 @@ def sweep_configs(ns, l=8):
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_stacked_blocks_equal_lone_simulate(name):
     # one batch over a sweep gives each block the records of simulate
-    # with that block's seed alone: m = 6, 10 <= k*l = 16 < m = 20, 300
-    # for the ordered policies, and n on both sides of
-    # UNIFORM_PERMUTE_MAX_N; two blocks of each kind share a draw
-    configs = sweep_configs((1200, 40, 80, 24))
-    assert configs[3].m < configs[1].m <= 2 * 8 < configs[2].m
-    assert configs[2].n <= UNIFORM_PERMUTE_MAX_N < configs[0].n
+    # with that block's seed alone: m = 6, 10 <= 2*k*l = 32 < m = 40, 300
+    # for the ordered policies and rp_threshold, and n on both sides of
+    # UNIFORM_KEYS_MAX_N; two blocks of each kind share a draw
+    configs = sweep_configs((1200, 40, 160, 24))
+    assert configs[3].m < configs[1].m <= 2 * 16 < configs[2].m
+    assert configs[2].n <= UNIFORM_KEYS_MAX_N < configs[0].n
     horizon, rows = 60, 3
     starts = [np.ones(cfg.n, dtype=int) for cfg in configs]
     starts[2] = solve_rp(configs[2]).z_star
@@ -629,8 +643,8 @@ def test_kernel_mean_age_matches_per_user_reference(name):
     reps, horizon = 200, 100
     cases = [(mixed_ref(), 1), (tie_heavy(), 8), (truncation_tie(), 1)]
     if name == "uniform_random":
-        # above UNIFORM_PERMUTE_MAX_N: the per-row hypergeometric draw
-        assert UNIFORM_PERMUTE_MAX_N < 1200
+        # above UNIFORM_KEYS_MAX_N: the per-row hypergeometric draw
+        assert UNIFORM_KEYS_MAX_N < 1200
         cases.append((NetworkConfig(
             n=1200, alpha=0.25, l=8,
             classes=(ClassSpec(p=0.3, gamma=0.5), ClassSpec(p=0.8, gamma=0.5))), 1))
@@ -647,8 +661,8 @@ def test_kernel_mean_age_matches_per_user_reference(name):
 
 @pytest.mark.parametrize("n", [20, 320, 10_000])
 def test_uniform_serve_is_multivariate_hypergeometric(n):
-    # One slot from fixed counts, by the reference server's permutation
-    # draw (n <= cutoff) or its per-row loop (n > cutoff). Each cell's served count is
+    # One slot from fixed counts, by the reference server's key draw
+    # (n <= cutoff) or its per-row loop (n > cutoff). Each cell's served count is
     # hypergeometric with mean m*c/n and variance
     # m*(c/n)*(1 - c/n)*(n - m)/(n - 1); the mean over the rows lies
     # within 4 standard errors of that mean.
@@ -670,7 +684,7 @@ def test_uniform_serve_is_multivariate_hypergeometric(n):
     se = np.sqrt(var / rows)
     assert (np.abs(served.mean(axis=0) - mean) <= 4 * se).all()
     # the cases straddle the cutoff, so both draws are checked
-    assert 320 <= UNIFORM_PERMUTE_MAX_N < 10_000
+    assert 320 <= UNIFORM_KEYS_MAX_N < 10_000
 
 
 def random_counts(cfg, rng):
@@ -688,12 +702,18 @@ def test_draw_at_p_one_is_the_reference_served_counts(name):
     # With every p = 1 each served user succeeds, so from one seed the
     # kernel's successes equal the reference server's served counts bit
     # for bit: coins * 1.0 == coins for rp_threshold, u < 1 always for
-    # the uniforms. The configs cover m <= k*l and m > k*l, and
-    # uniform_random on both sides of its cutoff.
-    cases = [all_sure(12, 8, 0.5), all_sure(40, 4, 0.5)]
+    # the ordered policies' uniforms, and for uniform_random a key below
+    # 1 * s is one of the m smallest keys. The configs cover m <= k*l,
+    # k*l < m <= 2*k*l and m > 2*k*l, with rp_threshold coins of 1 and
+    # of 0.25 (alpha = 0.25), and uniform_random on both sides of its
+    # cutoff.
+    cases = [all_sure(12, 8, 0.5), all_sure(24, 4, 0.25), all_sure(48, 4, 0.25),
+             all_sure(40, 4, 0.5), all_sure(80, 4, 0.25)]
     if name == "uniform_random":
         cases.append(all_sure(1200, 4, 0.25))
-    assert cases[0].m <= cases[0].k * cases[0].l < cases[1].m
+        assert cases[-2].n <= UNIFORM_KEYS_MAX_N < cases[-1].n
+    assert [cfg.m <= cfg.k * cfg.l for cfg in cases[:5]] == [1, 1, 0, 0, 0]
+    assert [cfg.m <= 2 * cfg.k * cfg.l for cfg in cases[:5]] == [1, 1, 1, 0, 0]
     rng = np.random.default_rng(15)
     rows = 5
     for cfg in cases:
@@ -708,19 +728,19 @@ def test_draw_at_p_one_is_the_reference_served_counts(name):
 
 
 def test_kernel_keeps_the_binomial_stream_where_the_draw_is_unchanged():
-    # whittle and greedy_max_age with m > k*l and uniform_random above
+    # whittle and greedy_max_age with m > 2*k*l and uniform_random above
     # the cutoff still draw Binomial(served, p): slot for slot the counts,
     # and so simulate's records, equal the old serve-then-Binomial kernel
     horizon, rows = 200, 3
-    gap320 = NetworkConfig(n=320, alpha=0.5, l=50, classes=(
+    gap480 = NetworkConfig(n=480, alpha=0.5, l=50, classes=(
         ClassSpec(p=0.8, gamma=0.5), ClassSpec(p=0.2, gamma=0.5)))
     big_uniform = NetworkConfig(n=1200, alpha=0.25, l=8, classes=(
         ClassSpec(p=0.3, gamma=0.5), ClassSpec(p=0.8, gamma=0.5)))
-    cases = [(gap320, "whittle"), (gap320, "greedy_max_age"),
-             (one_class(0.6, 12, 0.5, 40), "whittle"),
+    cases = [(gap480, "whittle"), (gap480, "greedy_max_age"),
+             (one_class(0.6, 12, 0.5, 60), "whittle"),
              (big_uniform, "uniform_random")]
     for cfg, name in cases:
-        assert cfg.m > cfg.k * cfg.l or cfg.n > UNIFORM_PERMUTE_MAX_N
+        assert cfg.m > 2 * cfg.k * cfg.l or cfg.n > UNIFORM_KEYS_MAX_N
         pol = policy_named(name, cfg)
         ones = np.ones(cfg.n, dtype=int)
         mine = _paths([(cfg, pol, ones, np.random.default_rng(3))], rows)
@@ -736,13 +756,15 @@ def test_kernel_keeps_the_binomial_stream_where_the_draw_is_unchanged():
 
 
 @pytest.mark.parametrize("name,n", [
-    ("whittle", 80), ("greedy_max_age", 80), ("rp_threshold", 20),
+    ("whittle", 80), ("greedy_max_age", 80), ("whittle", 160),
+    ("greedy_max_age", 160), ("rp_threshold", 20),
     ("rp_threshold", 320), ("uniform_random", 20), ("uniform_random", 320),
     ("uniform_random", 10_000)])
 def test_one_slot_successes_have_the_per_user_law(name, n):
     # One slot from fixed counts at p < 1, 4000 rows. Each cell's mean
     # successes lie within 4 standard errors of its per-user expectation:
-    # served*p for the ordered policies (served fixed by the counts),
+    # served*p for the ordered policies (served fixed by the counts; one
+    # uniform per served user at m = k*l and at k*l < m = 2*k*l),
     # count*coin*p for rp_threshold, and m*(c/n)*p for uniform_random,
     # whose variance is p^2*Var_hyp + p*(1-p)*E_hyp.
     cfg = NetworkConfig(
@@ -757,7 +779,7 @@ def test_one_slot_successes_have_the_per_user_law(name, n):
     assert ((won >= 0) & (won <= counts)).all()
     p = np.repeat(cfg.p_vector(), cfg.l)
     if name in ("whittle", "greedy_max_age"):
-        assert cfg.m <= cfg.k * cfg.l
+        assert cfg.m <= 2 * cfg.k * cfg.l
         order = _order(cfg, name)
         served = _serve_in_order(counts[None], cfg.m, order)[0]
         assert (won <= served).all()
