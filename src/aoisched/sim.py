@@ -29,9 +29,9 @@ to the policy's cutoff, and per-cell Binomial draws above it.
   them has the same law, because an unsuccessful user of either cell
   moves to age l. _expected_slot is the same rule on real masses, with
   budget alpha, so it is the kernel's expected whittle slot; it is
-  fluid.fluid_step on one row. When m <= 2*k*l each served user draws
-  one uniform against its class's p; otherwise the successes are
-  Binomial(served, p_k).
+  fluid.fluid_step on one row. When m <= min(2*k*l, 0.8*k*l + 120)
+  each served user draws one uniform against its class's p; otherwise
+  the successes are Binomial(served, p_k).
 * uniform_random serves a uniform m-subset of the users. Up to
   UNIFORM_KEYS_MAX_N users each user draws one key, and a user succeeds
   when its key is below p * s, s being its row's (m+1)-th smallest key;
@@ -39,9 +39,10 @@ to the policy's cutoff, and per-cell Binomial draws above it.
   users, then Binomial(served, p_k); that call needs n < 10**9.
 * rp_threshold schedules each user with its cell's coin and the channel
   succeeds with p, independently, the coins being relaxed.rp_coins of
-  the policy's relaxed solution. When m <= 2*k*l every user of a cell
-  with coin > 0 draws one uniform against coin * p_k; otherwise a
-  cell's successes are one Binomial(count, coin * p_k).
+  the policy's relaxed solution. When m is within the ordered
+  policies' bound and n <= 4*k*l, every user of a cell with coin > 0
+  draws one uniform against coin * p_k; otherwise a cell's successes
+  are one Binomial(count, coin * p_k).
 
 Successful users reset to age 1 and every other user ages by one,
 truncated at l. All rows of a block draw from one Generator, so row r
@@ -217,6 +218,47 @@ def _initial_counts(initial, cfg: NetworkConfig) -> np.ndarray:
     return counts.ravel()
 
 
+def _draws_per_user(cfg: NetworkConfig, kind: str) -> bool:
+    """Whether a block of cfg draws one uniform per user at risk (True)
+    or per cell or per row (False); see _drawer. Both are exact draws of
+    one law, so the rule picks the cheaper one by cost alone, and with
+    it the block's stream.
+
+    A per-user draw costs O(R * users at risk), a Binomial call a few us
+    plus 8-10 ns per cell, served or not. One draw call from counts 60
+    slots after z_star (k = 2, alpha 0.5, p (0.8, 0.2)), per-user against
+    Binomial, both forced, 8 | 16 rows (2 vCPUs, numpy 2.4), whittle:
+
+        k*l = 16:    23 | 28 against  24 | 31 us at m = 32,
+                     28 | 36 against  25 | 33 us at m = 100;
+        k*l = 100:   40 | 62 against  40 | 62 us at m = 200,
+                     45 | 65 against  42 | 60 us at m = 250;
+        k*l = 400:  121 | 141 against 119 | 143 us at m = 440,
+                     86 | 253 against  77 | 141 us at m = 600;
+        k*l = 1000: 162 | 290 against 164 | 289 us at m = 920,
+                    181 | 474 against 171 | 303 us at m = 1100.
+
+    So the ordered policies, whose users at risk are the m served, draw
+    per user while m <= min(2*k*l, 0.8*k*l + 120); greedy_max_age's
+    crossover lies alike. rp_threshold's users at risk, every user of a
+    cell with coin > 0, number about m in steady state, and its
+    crossover lies alike, but m does not bound them: a `maxed` start
+    puts every user at age l, so at n = 10**8, alpha = 1e-6 (m = 100)
+    and k*l = 100 the 5*10**7 users of the class with coin > 0 there
+    are all at risk. So rp_threshold also needs n <= 4*k*l, which bounds
+    its per-user draw by 4*k*l uniforms per row. That bound forgoes
+    little: at k*l = 100, alpha 0.1 and n = 800 the per-user draw took
+    17 | 24 us against the Binomial's 22 | 34 us.
+    """
+    if kind == "uniform_random":
+        return cfg.n <= UNIFORM_KEYS_MAX_N
+    cells = cfg.k * cfg.l
+    ordered = cfg.m <= 2 * cells and 5 * cfg.m <= 4 * cells + 600
+    if kind == "rp_threshold":
+        return ordered and cfg.n <= 4 * cells
+    return ordered
+
+
 def _drawer(blocks, rows: int):
     """The blocks' slot on their stacked counts: draw(counts) -> successes.
 
@@ -229,10 +271,10 @@ def _drawer(blocks, rows: int):
     draw alone, so its successes do not depend on the other blocks. Each
     rule is an exact draw of the per-user law.
 
-    Up to its cutoff a block draws per user: its policy names the users
-    at risk and their success probability q, and one Bernoulli tail
-    draws one uniform for each, in flat-cell order, from the block's rng;
-    a user succeeds when its uniform is below q. While m <= 2*k*l, the
+    Where _draws_per_user holds, a block draws per user: its policy
+    names the users at risk and their success probability q, and one
+    Bernoulli tail draws one uniform for each, in flat-cell order, from
+    the block's rng; a user succeeds when its uniform is below q. The
     ordered policies' users at risk are the served ones, with q = p, and
     rp_threshold's are the users of every cell with coin > 0, with
     q = coin * p. uniform_random, up to UNIFORM_KEYS_MAX_N users, gives
@@ -240,8 +282,8 @@ def _drawer(blocks, rows: int):
     of the users and, given s, the (m+1)-th smallest key (s = 1 when
     m = n), are i.i.d. U(0, s), so the key itself is the user's uniform,
     with q = p * s. Ties between keys, of probability at most about
-    n**2 * 2**-53, are the only departure from the exact law. Above the
-    cutoffs the successes are Binomial(served, p) for the ordered
+    n**2 * 2**-53, are the only departure from the exact law. Elsewhere
+    the successes are Binomial(served, p) for the ordered
     policies, Binomial(count, coin * p) for rp_threshold and, after one
     Generator.multivariate_hypergeometric call per row, whose cost does
     not grow with n, Binomial(served, p) for uniform_random.
@@ -252,7 +294,6 @@ def _drawer(blocks, rows: int):
                 policy.kind, cfg.k, cfg.l, cfg.p_vector().tolist()):
             raise ShapeError("stacked blocks must share the policy kind, k, l and p")
     p_cells = _p_cells(cfg)
-    cells = cfg.k * cfg.l
     if policy.kind == "rp_threshold":
         q_cells = [rp_coins(pol.solution, bcfg).ravel() * p_cells
                    for bcfg, pol, _, _ in blocks]
@@ -260,32 +301,25 @@ def _drawer(blocks, rows: int):
         q_cells = [p_cells] * len(blocks)
     q_rows = np.repeat(q_cells, rows, axis=0)
     ids = np.arange(q_rows.size)
-    if policy.kind == "uniform_random":
-        per_user = np.array([bcfg.n <= UNIFORM_KEYS_MAX_N for bcfg, _, _, _ in blocks])
-    else:
-        # One uniform per user at risk costs O(R*m); Generator.binomial
-        # costs a few us per call plus 8-10 ns per cell, served or not.
-        # One draw call from counts 60 slots after z_star, per-user
-        # against Binomial, 8 | 16 rows (2 vCPUs, numpy 2.4): at
-        # k*l = 100, whittle 35 | 45 against 45 | 60 us at m = 100,
-        # 46 | 69 against 51 | 75 us at m = 200 and 66 | 115 against
-        # 52 | 82 us at m = 500; rp_threshold 20 | 47 against 29 | 61,
-        # 46 | 51 against 52 | 53 and 61 | 158 against 41 | 85 us. At
-        # k*l = 1000 the crossover lies lower, near k*l: whittle
-        # 180 | 860 against 189 | 798 us at m = 1000 and 409 | 1254
-        # against 200 | 566 us at m = 2000.
-        per_user = np.array([bcfg.m <= 2 * cells for bcfg, _, _, _ in blocks])
-    tail_rows = np.repeat(per_user, rows)[:, None]
+    per_user = np.array([_draws_per_user(bcfg, policy.kind)
+                         for bcfg, _, _, _ in blocks])
+    tail_rows = np.repeat(per_user, rows)[:, None] & (q_rows > 0)
     tail, rest = [], []
     for b, (bcfg, _, _, rng) in enumerate(blocks):
         span = slice(b * rows, (b + 1) * rows)
         (tail if per_user[b] else rest).append((span, bcfg, rng, q_cells[b]))
 
-    def bernoulli(users, uniforms, q):
-        """Successes of `users` per stacked cell, each drawing one of
-        `uniforms` in flat-cell order against q of its cell."""
-        if not uniforms:
-            return np.zeros_like(users)
+    def bernoulli(users, q, uniforms=None):
+        """Successes per stacked cell of the per-user blocks' `users`, each
+        drawing one uniform in flat-cell order against q of its cell; the
+        uniforms are drawn here unless given. The other blocks' rows are
+        left for the caller to fill, and without a per-user block nothing
+        is masked or drawn."""
+        if not tail:
+            return np.empty_like(users)
+        users = users * tail_rows
+        if uniforms is None:
+            uniforms = [rng.random(users[span].sum()) for span, _, rng, _ in tail]
         cell = np.repeat(ids, users.ravel())
         won = cell[np.concatenate(uniforms) < q.ravel()[cell]]
         return np.bincount(won, minlength=ids.size).reshape(users.shape)
@@ -296,9 +330,7 @@ def _drawer(blocks, rows: int):
 
         def draw(counts):
             served = _serve_in_order(counts, budget, order)
-            won = bernoulli(served * tail_rows,
-                            [rng.random(rows * bcfg.m) for _, bcfg, rng, _ in tail],
-                            q_rows)
+            won = bernoulli(served, q_rows)
             for span, _, rng, q in rest:
                 won[span] = rng.binomial(served[span], q)
             return won
@@ -310,20 +342,15 @@ def _drawer(blocks, rows: int):
                 if bcfg.m < bcfg.n:
                     scale[span, 0] = np.partition(key, bcfg.m, axis=1)[:, bcfg.m]
                 keys.append(key.ravel())
-            won = bernoulli(counts * tail_rows, keys, q_rows * scale)
+            won = bernoulli(counts, q_rows * scale, keys)
             for span, bcfg, rng, q in rest:
                 served = np.array([rng.multivariate_hypergeometric(row, bcfg.m)
                                    for row in counts[span]])
                 won[span] = rng.binomial(served, q)
             return won
     else:
-        tail_rows = tail_rows & (q_rows > 0)
-
         def draw(counts):
-            users = counts * tail_rows
-            sizes = users.reshape(len(blocks), -1).sum(axis=1)[per_user]
-            won = bernoulli(users, [rng.random(size) for (_, _, rng, _), size
-                                    in zip(tail, sizes)], q_rows)
+            won = bernoulli(counts, q_rows)
             for span, _, rng, q in rest:
                 won[span] = rng.binomial(counts[span], q)
             return won

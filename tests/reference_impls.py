@@ -53,6 +53,7 @@ from aoisched.sim import (
     UNIFORM_KEYS_MAX_N,
     WARMUP_FRACTION,
     _advance,
+    _draws_per_user,
     _greedy_rank,
     _serve_in_order,
     _whittle_rank,
@@ -603,8 +604,10 @@ def server(cfg, policy):
     ids of each row's m smallest keys, found by a full argsort. Above the
     cutoff it makes one Generator.multivariate_hypergeometric call per
     row. rp_threshold schedules each user with its cell's coin: one
-    uniform per user of a cell with coin > 0, in flat-cell order, while
-    m <= 2*k*l, and one Binomial(count, coin) per cell above that.
+    uniform per user of a cell with coin > 0, in flat-cell order, where
+    sim._draws_per_user holds, and one Binomial(count, coin) per cell
+    elsewhere. The rule only picks which exact draw, and so which stream,
+    the kernel uses, so it is shared rather than restated here.
     """
     m = cfg.m
     if policy.kind in ("whittle", "greedy_max_age"):
@@ -625,7 +628,7 @@ def server(cfg, policy):
         def serve(counts, rng):
             return np.array([rng.multivariate_hypergeometric(row, m)
                              for row in counts])
-    elif m <= 2 * cfg.k * cfg.l:
+    elif _draws_per_user(cfg, policy.kind):
         coins = rp_cell_coins(cfg, policy.solution).ravel()
 
         def serve(counts, rng):

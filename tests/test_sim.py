@@ -22,6 +22,7 @@ from aoisched.sim import (
     PolicyKind,
     _advance,
     _drawer,
+    _draws_per_user,
     _greedy_rank,
     _initial_counts,
     _order,
@@ -553,8 +554,9 @@ def test_stacked_blocks_equal_lone_simulate(name):
     # for the ordered policies and rp_threshold, and n on both sides of
     # UNIFORM_KEYS_MAX_N; two blocks of each kind share a draw
     configs = sweep_configs((1200, 40, 160, 24))
-    assert configs[3].m < configs[1].m <= 2 * 16 < configs[2].m
-    assert configs[2].n <= UNIFORM_KEYS_MAX_N < configs[0].n
+    per_user = [_draws_per_user(cfg, name) for cfg in configs]
+    assert per_user == ([False, True, True, True] if name == "uniform_random"
+                        else [False, True, False, True])
     horizon, rows = 60, 3
     starts = [np.ones(cfg.n, dtype=int) for cfg in configs]
     starts[2] = solve_rp(configs[2]).z_star
@@ -704,16 +706,23 @@ def test_draw_at_p_one_is_the_reference_served_counts(name):
     # for bit: coins * 1.0 == coins for rp_threshold, u < 1 always for
     # the ordered policies' uniforms, and for uniform_random a key below
     # 1 * s is one of the m smallest keys. The configs cover m <= k*l,
-    # k*l < m <= 2*k*l and m > 2*k*l, with rp_threshold coins of 1 and
-    # of 0.25 (alpha = 0.25), and uniform_random on both sides of its
-    # cutoff.
+    # k*l < m <= 2*k*l and m > 2*k*l at k*l = 8 and 16, and m on both
+    # sides of 0.8*k*l + 120 at k*l = 300, with rp_threshold coins of 1
+    # and of 0.25 (alpha = 0.25) and on both sides of n = 4*k*l, and
+    # uniform_random on both sides of its cutoff.
     cases = [all_sure(12, 8, 0.5), all_sure(24, 4, 0.25), all_sure(48, 4, 0.25),
-             all_sure(40, 4, 0.5), all_sure(80, 4, 0.25)]
+             all_sure(40, 4, 0.5), all_sure(80, 4, 0.25),
+             all_sure(720, 150, 0.5), all_sure(724, 150, 0.5)]
     if name == "uniform_random":
         cases.append(all_sure(1200, 4, 0.25))
         assert cases[-2].n <= UNIFORM_KEYS_MAX_N < cases[-1].n
     assert [cfg.m <= cfg.k * cfg.l for cfg in cases[:5]] == [1, 1, 0, 0, 0]
     assert [cfg.m <= 2 * cfg.k * cfg.l for cfg in cases[:5]] == [1, 1, 1, 0, 0]
+    assert [cfg.m for cfg in cases[5:7]] == [360, 362]  # 0.8 * 300 + 120 = 360
+    per_user = {"rp_threshold": [1, 1, 0, 0, 0, 1, 0],
+                "uniform_random": [1, 1, 1, 1, 1, 1, 1, 0]}
+    assert [_draws_per_user(cfg, name) for cfg in cases] == per_user.get(
+        name, [1, 1, 1, 0, 0, 1, 0])
     rng = np.random.default_rng(15)
     rows = 5
     for cfg in cases:
@@ -740,7 +749,7 @@ def test_kernel_keeps_the_binomial_stream_where_the_draw_is_unchanged():
              (one_class(0.6, 12, 0.5, 60), "whittle"),
              (big_uniform, "uniform_random")]
     for cfg, name in cases:
-        assert cfg.m > 2 * cfg.k * cfg.l or cfg.n > UNIFORM_KEYS_MAX_N
+        assert not _draws_per_user(cfg, name)
         pol = policy_named(name, cfg)
         ones = np.ones(cfg.n, dtype=int)
         mine = _paths([(cfg, pol, ones, np.random.default_rng(3))], rows)
@@ -753,6 +762,30 @@ def test_kernel_keeps_the_binomial_stream_where_the_draw_is_unchanged():
         recs = simulate(cfg, pol, horizon, 3, ones, replications=rows)
         assert [r.per_user_avg_age for r in recs] == (
             (total / (horizon * cfg.n)).tolist())
+
+
+def test_rp_threshold_with_many_users_at_risk_draws_per_cell():
+    # m = 100 <= 2*k*l, but a maxed start puts the 5*10**7 users of class
+    # 0 at age l, where its coin is > 0: a per-user draw would take 10**8
+    # uniforms a slot. n > 4*k*l keeps one Binomial(count, coin * p) per
+    # cell, so slot for slot the counts equal that draw from the same seed
+    cfg = NetworkConfig(n=10 ** 8, alpha=1e-6, l=50, classes=(
+        ClassSpec(p=0.8, gamma=0.5), ClassSpec(p=0.2, gamma=0.5)))
+    assert cfg.m == 100 <= 2 * cfg.k * cfg.l
+    assert not _draws_per_user(cfg, "rp_threshold")
+    pol = PolicyKind("rp_threshold", solve_rp(cfg))
+    q = rp_coins(pol.solution, cfg).ravel() * np.repeat(cfg.p_vector(), cfg.l)
+    maxed = np.zeros((cfg.k, cfg.l))
+    maxed[:, -1] = cfg.gamma_vector()
+    rows = 2
+    mine = _paths([(cfg, pol, maxed, np.random.default_rng(4))], rows)
+    rng = np.random.default_rng(4)
+    counts = next(mine)
+    assert (counts[:, q > 0].sum(axis=1) == cfg.n // 2).all()
+    for _ in range(5):
+        expected = _advance(counts, rng.binomial(counts, q), cfg.l)
+        counts = next(mine)
+        np.testing.assert_array_equal(counts, expected)
 
 
 @pytest.mark.parametrize("name,n", [
@@ -779,7 +812,7 @@ def test_one_slot_successes_have_the_per_user_law(name, n):
     assert ((won >= 0) & (won <= counts)).all()
     p = np.repeat(cfg.p_vector(), cfg.l)
     if name in ("whittle", "greedy_max_age"):
-        assert cfg.m <= 2 * cfg.k * cfg.l
+        assert _draws_per_user(cfg, name)
         order = _order(cfg, name)
         served = _serve_in_order(counts[None], cfg.m, order)[0]
         assert (won <= served).all()
